@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -77,8 +78,12 @@ def parse_route(tokens: str) -> Route:
     return Route(events=tuple(events))
 
 
-def load_instance_arg(path: str) -> Instance:
-    return Instance.load(path)
+def _parse_tokens(text: str, sep: str, kind, what: str) -> list:
+    """Split ``text`` on ``sep`` and convert each token with ``kind``."""
+    try:
+        return [kind(tok) for tok in text.split(sep)]
+    except ValueError:
+        raise MalformedInputError(f"bad {what} value {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +91,7 @@ def load_instance_arg(path: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     report = instances.validate_metric(inst.dist.entries, rel_tol=args.tolerance)
     declared = inst.dist.metric_flag
     consistent = report.ok == declared or (not declared)
@@ -114,7 +119,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_route(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     route = parse_route(args.route)
     result = feasibility.sir_feasible(inst, route, rel=args.tolerance)
     payload = {
@@ -144,7 +149,7 @@ def _print_table(table: feasibility.CostShareTable) -> None:
 
 
 def cmd_witness(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     route = parse_route(args.route)
     try:
         table = feasibility.witness_scheme(inst, route, rel=args.tolerance)
@@ -163,7 +168,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_share(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     route = parse_route(args.route)
     if args.xc:
         table = fairness.xc_table(inst, route, rel=args.tolerance)
@@ -172,7 +177,7 @@ def cmd_share(args) -> int:
     else:
         if args.beta is None:
             raise MalformedInputError("share needs --beta v2,v3,... or --xc")
-        betas = [float(b) for b in args.beta.split(",")] if args.beta else []
+        betas = _parse_tokens(args.beta, ",", float, "--beta") if args.beta else []
         table = fairness.beta_fair_table(inst, route, betas, rel=args.tolerance)
         scheme = "beta"
     trace = fairness.reverse_meter(inst, route, table, rel=args.tolerance)
@@ -217,7 +222,7 @@ def cmd_share(args) -> int:
 
 
 def cmd_routes(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     result = search.enumerate_sir_routes(
         inst, limit=args.limit, cap=args.cap_override or search.DEFAULT_CAP,
         rel=args.tolerance,
@@ -247,7 +252,7 @@ def cmd_routes(args) -> int:
 
 
 def cmd_opt_route(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     best = search.opt_sir_route(
         inst, cap=args.cap_override or search.DEFAULT_CAP, rel=args.tolerance
     )
@@ -266,7 +271,7 @@ def cmd_opt_route(args) -> int:
 
 
 def cmd_starvation(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     if args.route:
         route = parse_route(args.route)
         gamma = None
@@ -310,7 +315,7 @@ def cmd_starvation(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    inst = load_instance_arg(args.instance)
+    inst = Instance.load(args.instance)
     if args.m_prime is not None:
         network = alloc_mod.build_network(inst, args.m_prime)
         flow = alloc_mod.min_cost_max_flow(network)
@@ -350,7 +355,7 @@ def cmd_allocate(args) -> int:
 def cmd_generate(args) -> int:
     kind = args.kind
     if kind == "lower-bound":
-        alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else None
+        alphas = _parse_tokens(args.alphas, ",", float, "--alphas") if args.alphas else None
         inst = instances.generate_lower_bound_instance(
             args.n, alpha_op=args.alpha_op, alphas=alphas, ell=args.ell,
             slack=args.slack,
@@ -363,15 +368,17 @@ def cmd_generate(args) -> int:
         edges = []
         if args.edges:
             for tok in args.edges.split(","):
-                a, _, b = tok.partition("-")
-                edges.append((int(a), int(b)))
+                edge = _parse_tokens(tok, "-", int, "--edges")
+                if len(edge) != 2:
+                    raise MalformedInputError(f"bad --edges value {tok!r}; expected u-v")
+                edges.append(tuple(edge))
         inst = instances.reduce_hampath(args.vertices, edges, ell=args.ell)
     elif kind == "path-tsp":
         if not args.coords:
             raise MalformedInputError("path-tsp generation needs --coords")
         pts = []
         for group in args.coords.split(";"):
-            pts.append([float(x) for x in group.split(",")])
+            pts.append(_parse_tokens(group, ",", float, "--coords"))
         table = instances.from_euclidean(pts)
         inst = instances.reduce_path_tsp(table, margin=args.margin)
     else:  # unreachable; argparse restricts choices
@@ -399,8 +406,9 @@ def build_parser() -> _Parser:
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON output")
+        # argparse converts a string default (the environment value) with type= too
         p.add_argument("--tolerance", type=float,
-                       default=float(os.environ.get("SIRSHARE_TOLERANCE", DEFAULT_REL_TOL)),
+                       default=os.environ.get("SIRSHARE_TOLERANCE", DEFAULT_REL_TOL),
                        help="relative tolerance (0 for strict)")
 
     p = sub.add_parser("validate", help="check the distance table against its metric flag")
@@ -475,6 +483,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0.0 <= args.tolerance < math.inf:
+            parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:

@@ -24,11 +24,10 @@ from .errors import (
 from .feasibility import (
     CostShareTable,
     DisutilityTrace,
-    StageCosts,
-    _require_budget_balance,
+    _balanced_costs,
+    _single_dropoff_stage,
     disutility_trace,
     sir_feasible,
-    single_dropoff_detours,
     stage_costs,
 )
 from .instances import SINGLE, Instance, Route
@@ -83,15 +82,6 @@ def _require_single(instance: Instance, what: str) -> None:
         raise UnsupportedModeError(f"{what} is only defined for single-dropoff routes")
 
 
-def _stage_quantities(instance: Instance, route: Route):
-    """(detours, newcomer direct distances, cumulative weight sums) per stage."""
-    detours = single_dropoff_detours(instance, route)
-    rows = instance.rows
-    drop = instance.n
-    sd = [rows[p - 1][drop] for p in route.pickup_order]
-    return detours, sd, instance.alpha_prefix
-
-
 def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
                       rel: float = DEFAULT_REL_TOL) -> BenefitBreakdown:
     """Benefit each rider draws from each boarding under the given table.
@@ -103,23 +93,23 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     pooled sensitivity.
     """
     _require_single(instance, "benefit accounting")
-    costs = stage_costs(instance, route)
-    _require_budget_balance(table, costs, rel)
-    detours, sd, prefix = _stage_quantities(instance, route)
+    _balanced_costs(instance, route, table, rel)
+    order = route.pickup_order
     aop = instance.alpha_op
     ibs = []
     tibs = []
     for j in range(2, instance.n + 1):
-        det = detours[j - 2]
+        det, _ = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
+        fare = aop * instance.direct_distance(order[j - 1])
         row = []
         for i in range(1, j):
             row.append(
                 table.value(i, j - 1) - table.value(i, j)
                 - instance.alphas[i - 1] * det
             )
-        row.append(aop * sd[j - 1] - table.value(j, j))
+        row.append(fare - table.value(j, j))
         ibs.append(tuple(row))
-        tibs.append(aop * sd[j - 1] - (aop + prefix[j - 1]) * det)
+        tibs.append(fare - (aop + instance.alpha_prefix[j - 1]) * det)
     return BenefitBreakdown(ib=tuple(ibs), tib=tuple(tibs))
 
 
@@ -134,29 +124,29 @@ def beta_fair_table(instance: Instance, route: Route,
     operator-side surplus with direct compensation for their inconvenience.
     """
     _require_single(instance, "fair-share construction")
-    route.validate(instance)
     betas = BetaVector.of(betas)
     n = instance.n
     if len(betas) != max(n - 1, 0):
         raise MalformedInputError(f"need {n - 1} beta values, got {len(betas)}")
-    verdict = sir_feasible(instance, route, rel=rel, validate=False)
+    verdict = sir_feasible(instance, route, rel=rel)
     if not verdict.feasible:
         raise InfeasibleRouteError(
             f"route is not SIR-feasible at stage {verdict.first_violation}",
             stage=verdict.first_violation,
         )
-    detours, sd, prefix = _stage_quantities(instance, route)
+    order = route.pickup_order
     aop = instance.alpha_op
-    rows: list[list[float]] = [[aop * sd[0]]]
+    rows: list[list[float]] = [[aop * instance.direct_distance(order[0])]]
     for j in range(2, n + 1):
-        weight_sum = prefix[j - 1]
+        weight_sum = instance.alpha_prefix[j - 1]
         if weight_sum <= 0.0:
             raise DegenerateWeightsError(
                 f"existing riders carry zero total sensitivity at stage {j}"
             )
         b = betas.for_stage(j)
-        det = detours[j - 2]
-        operator_surplus = aop * sd[j - 1] - aop * det
+        det, _ = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
+        sd_j = instance.direct_distance(order[j - 1])
+        operator_surplus = aop * sd_j - aop * det
         prev = rows[-1]
         row = []
         for i in range(1, j):
@@ -166,7 +156,7 @@ def beta_fair_table(instance: Instance, route: Route,
                 + (1.0 - b) * alpha_i * det
             )
             row.append(prev[i - 1] - discount)
-        incoming = b * aop * sd[j - 1] + (1.0 - b) * (aop + weight_sum) * det
+        incoming = b * aop * sd_j + (1.0 - b) * (aop + weight_sum) * det
         row.append(incoming)
         rows.append(row)
     return CostShareTable(shares=tuple(tuple(r) for r in rows))
@@ -190,17 +180,14 @@ def xc_table(instance: Instance, route: Route,
                 f"rider {i} sensitivity {a} differs from operator rate {aop}; "
                 "the segment-split table assumes equal rates"
             )
-    rows_d = instance.rows
     order = route.pickup_order
-    drop = instance.n
     n = instance.n
     seg = [0.0] * (n + 1)  # seg[k] = distance between pickups k-1 and k
-    for k in range(2, n + 1):
-        seg[k] = rows_d[order[k - 2] - 1][order[k - 1] - 1]
-    sd = [0.0] + [rows_d[order[r - 1] - 1][drop] for r in range(1, n + 1)]
     det = [0.0] * (n + 1)
     for k in range(2, n + 1):
-        det[k] = seg[k] + sd[k] - sd[k - 1]
+        seg[k] = instance.pickup_distance(order[k - 2], order[k - 1])
+        det[k] = _single_dropoff_stage(instance, order[k - 2], order[k - 1], k)[0]
+    sd = [0.0] + [instance.direct_distance(p) for p in order]
 
     shares: list[list[float]] = []
     for j in range(1, n + 1):
@@ -226,18 +213,17 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     _require_single(instance, "fairness verification")
     betas = BetaVector.of(betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
-    _, sd, prefix = _stage_quantities(instance, route)
     residuals = []
     ok = True
     for j in range(2, instance.n + 1):
         tib = breakdown.tib_value(j)
-        fare_scale = instance.alpha_op * sd[j - 1]
+        fare_scale = instance.alpha_op * instance.direct_distance(route.pickup_order[j - 1])
         if abs(tib) <= comparison_tolerance(fare_scale, rel or DEFAULT_REL_TOL):
             raise IndeterminateRatioError(
                 f"total incremental benefit is zero at stage {j}; ratios undefined"
             )
         b = betas.for_stage(j)
-        weight_sum = prefix[j - 1]
+        weight_sum = instance.alpha_prefix[j - 1]
         row = []
         for i in range(1, j + 1):
             realized = breakdown.ib_value(i, j) / tib
@@ -283,6 +269,5 @@ def reverse_meter(instance: Instance, route: Route,
     This is the disutility trace of the table: it starts at the private
     fare and, under any SIR table, only ever decreases as riders join.
     """
-    costs = stage_costs(instance, route)
-    _require_budget_balance(table, costs, rel)
+    costs = _balanced_costs(instance, route, table, rel)
     return disutility_trace(instance, route, table, costs)

@@ -18,8 +18,8 @@ from .errors import (
     InfeasibleRouteError,
     MalformedInputError,
 )
-from .instances import PICKUP, SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, comparison_tolerance
+from .instances import PICKUP, REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
+from .numeric import DEFAULT_REL_TOL, approx_leq, comparison_tolerance
 
 
 def conditional_route(route: Route, j: int) -> Route:
@@ -93,9 +93,9 @@ def _walk(instance: Instance, route: Route, events) -> tuple[float, dict[int, fl
     return total, traveled
 
 
-def stage_costs(instance: Instance, route: Route, validate: bool = True) -> StageCosts:
-    if validate:
-        route.validate(instance)
+def stage_costs(instance: Instance, route: Route) -> StageCosts:
+    """Stage distances and costs of a route; validates it (cached per route)."""
+    route.validate(instance)
     n = instance.n
     order = route.pickup_order
     alphas = instance.alphas
@@ -109,15 +109,13 @@ def stage_costs(instance: Instance, route: Route, validate: bool = True) -> Stag
 
     if instance.dropoff_mode == SINGLE:
         rows = instance.rows
-        drop = instance.n
         seg_prefix = [0.0] * (n + 1)  # seg_prefix[k] = distance over the first k hops
         for k in range(1, n):
             seg_prefix[k] = seg_prefix[k - 1] + rows[order[k - 1] - 1][order[k] - 1]
-        sd = [0.0] + [rows[order[r - 1] - 1][drop] for r in range(1, n + 1)]
         for j in range(1, n + 1):
-            d[j] = seg_prefix[j - 1] + sd[j]
+            d[j] = seg_prefix[j - 1] + direct[j]
             for i in range(1, j + 1):
-                d_i[i][j] = seg_prefix[j - 1] - seg_prefix[i - 1] + sd[j]
+                d_i[i][j] = seg_prefix[j - 1] - seg_prefix[i - 1] + direct[j]
     else:
         for j in range(1, n + 1):
             events = conditional_route(route, j).events
@@ -191,8 +189,10 @@ def budget_balance_residuals(table: CostShareTable, costs: StageCosts) -> list[f
     ]
 
 
-def _require_budget_balance(table: CostShareTable, costs: StageCosts,
-                            rel: float) -> None:
+def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
+                    rel: float) -> StageCosts:
+    """Stage costs of the route, once the table is checked to balance them."""
+    costs = stage_costs(instance, route)
     for j, res in enumerate(budget_balance_residuals(table, costs), start=1):
         if abs(res) > comparison_tolerance(costs.oc[j], rel):
             raise BudgetBalanceError(
@@ -200,6 +200,7 @@ def _require_budget_balance(table: CostShareTable, costs: StageCosts,
                 f"operator cost is {costs.oc[j]:.12g}",
                 stage=j,
             )
+    return costs
 
 
 def last_boarding_before_exit(route: Route) -> tuple[int, ...]:
@@ -245,8 +246,7 @@ def is_ir(instance: Instance, route: Route, table: CostShareTable,
     must be budget balanced; otherwise a :class:`BudgetBalanceError` names
     the offending stage.
     """
-    costs = stage_costs(instance, route)
-    _require_budget_balance(table, costs, rel)
+    costs = _balanced_costs(instance, route, table, rel)
     trace = disutility_trace(instance, route, table, costs)
     violations = []
     for i in range(1, costs.n + 1):
@@ -263,8 +263,7 @@ def is_sir(instance: Instance, route: Route, table: CostShareTable,
 
     Returns the verdict plus (rider, stage, excess) violations.
     """
-    costs = stage_costs(instance, route)
-    _require_budget_balance(table, costs, rel)
+    costs = _balanced_costs(instance, route, table, rel)
     trace = disutility_trace(instance, route, table, costs)
     violations = []
     for i in range(1, costs.n + 1):
@@ -302,65 +301,60 @@ class FeasibilityResult:
         return tuple(s.slack for s in self.stages)
 
 
+def _single_dropoff_stage(instance: Instance, a: int, b: int, j: int) -> tuple[float, float]:
+    """(detour, budget) when the j-th rider boards at pickup b right after pickup a.
+
+    Detour d(a,b) + d(b,D) - d(a,D) is what the boarding adds for everyone
+    aboard; the budget d(b,D) / (1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op)
+    is all of d(b,D) when the weights vanish and zero when they dominate.
+    """
+    direct = instance.direct_distance(b)
+    detour = instance.rows[a - 1][b - 1] + direct - instance.direct_distance(a)
+    if instance.regime == REGIME_ZERO:
+        return detour, direct
+    if instance.regime == REGIME_INFINITE:
+        return detour, 0.0
+    return detour, direct / (1.0 + instance.alpha_prefix[j - 1] / instance.alpha_op)
+
+
 def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...]:
     """Extra distance each boarding adds for everyone aboard, stages 2..n."""
     if instance.dropoff_mode != SINGLE:
         raise MalformedInputError("detour sequence is defined for single-dropoff routes")
-    rows = instance.rows
     order = route.pickup_order
-    drop = instance.n
-    out = []
-    for j in range(2, len(order) + 1):
-        a = order[j - 2] - 1
-        b = order[j - 1] - 1
-        out.append(rows[a][b] + rows[b][drop] - rows[a][drop])
-    return tuple(out)
-
-
-def _single_dropoff_stage_bound(instance: Instance, sd_j: float, j: int) -> float:
-    if instance.regime == "zero":
-        return sd_j
-    if instance.regime == "infinite":
-        return 0.0
-    return sd_j / (1.0 + instance.alpha_prefix[j - 1] / instance.alpha_op)
+    return tuple(
+        _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)[0]
+        for j in range(2, len(order) + 1)
+    )
 
 
 def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
-                 general: bool = False, validate: bool = True) -> FeasibilityResult:
+                 general: bool = False) -> FeasibilityResult:
     """Decide whether some budget-balanced table is SIR on this route.
 
     For single-dropoff routes each stage's incremental detour is compared
-    against its shrinking budget (a fraction of the newcomer's direct
-    distance set by the weights; the whole distance in the vanishing-weight
-    regime; zero in the dominant-weight regime). ``general=True`` forces the
-    stage-cost form that also covers interleaved per-rider dropoffs. Stage
-    slacks within tolerance of zero count as feasible.
+    against its shrinking budget (``_single_dropoff_stage``). ``general=True``
+    forces the stage-cost form that also covers interleaved per-rider
+    dropoffs. Stage slacks within tolerance of zero count as feasible. The
+    route is validated first; that check is cached per route.
     """
-    if validate:
-        route.validate(instance)
+    route.validate(instance)
     n = instance.n
     stages: list[StageSlack] = []
-    first_violation = None
 
     if instance.dropoff_mode == SINGLE and not general:
-        rows = instance.rows
         order = route.pickup_order
-        drop = instance.n
         for j in range(2, n + 1):
-            a = order[j - 2] - 1
-            b = order[j - 1] - 1
-            sd_j = rows[b][drop]
-            detour = rows[a][b] + sd_j - rows[a][drop]
-            bound = _single_dropoff_stage_bound(instance, sd_j, j)
-            stages.append(StageSlack(stage=j, lhs=detour, rhs=bound))
+            detour, budget = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
+            stages.append(StageSlack(stage=j, lhs=detour, rhs=budget))
     else:
-        costs = stage_costs(instance, route, validate=False)
+        costs = stage_costs(instance, route)
         for j in range(2, n + 1):
             delta_d = costs.d[j] - costs.d[j - 1]
-            if instance.regime == "zero":
+            if instance.regime == REGIME_ZERO:
                 lhs = delta_d
                 rhs = costs.direct[j]
-            elif instance.regime == "infinite":
+            elif instance.regime == REGIME_INFINITE:
                 lhs = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
                 lhs += costs.d_i[j][j] - costs.direct[j]
                 rhs = 0.0
@@ -374,10 +368,7 @@ def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
                 rhs -= instance.alphas[j - 1] * (costs.d_i[j][j] - costs.direct[j])
             stages.append(StageSlack(stage=j, lhs=lhs, rhs=rhs))
 
-    for s in stages:
-        if s.slack < -comparison_tolerance(max(abs(s.lhs), abs(s.rhs)), rel):
-            first_violation = s.stage
-            break
+    first_violation = next((s.stage for s in stages if not approx_leq(s.lhs, s.rhs, rel)), None)
     return FeasibilityResult(
         feasible=first_violation is None,
         stages=tuple(stages),
@@ -396,14 +387,13 @@ def witness_scheme(instance: Instance, route: Route,
     own inconvenience at every stage; a failure identifies the stage at
     which no budget-balanced SIR table can exist.
     """
-    route.validate(instance)
-    verdict = sir_feasible(instance, route, rel=rel, validate=False)
+    verdict = sir_feasible(instance, route, rel=rel)
     if not verdict.feasible:
         raise InfeasibleRouteError(
             f"route is not SIR-feasible at stage {verdict.first_violation}",
             stage=verdict.first_violation,
         )
-    costs = stage_costs(instance, route, validate=False)
+    costs = stage_costs(instance, route)
     n = costs.n
     aop = instance.alpha_op
     rows: list[list[float]] = [[aop * costs.direct[1]]]
@@ -415,7 +405,7 @@ def witness_scheme(instance: Instance, route: Route,
         ]
         incoming = costs.oc[j] - sum(row)
         cap = aop * costs.direct[j] - costs.ic[j][j]
-        if incoming > cap + comparison_tolerance(max(abs(incoming), abs(cap)), rel):
+        if not approx_leq(incoming, cap, rel):
             raise InfeasibleRouteError(
                 f"newcomer share {incoming:.12g} exceeds cap {cap:.12g} at stage {j}",
                 stage=j,

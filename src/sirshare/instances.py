@@ -222,12 +222,12 @@ class Instance:
                 f"distance table has {self.dist.size} points, expected {expected} "
                 f"for n={self.n} in {self.dropoff_mode} mode"
             )
-        if not (self.alpha_op > 0):
-            raise MalformedInputError("operator rate must be positive")
+        if not (0 < self.alpha_op < math.inf):
+            raise MalformedInputError("operator rate must be positive and finite")
         if len(self.alphas) != self.n:
             raise MalformedInputError(f"need {self.n} sensitivities, got {len(self.alphas)}")
-        if any(a < 0 for a in self.alphas):
-            raise MalformedInputError("detour sensitivities must be nonnegative")
+        if not all(0 <= a < math.inf for a in self.alphas):
+            raise MalformedInputError("detour sensitivities must be nonnegative and finite")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     # -- geometry helpers (labels are 1-based) --
@@ -245,8 +245,14 @@ class Instance:
             return self.n
         return self.n + point_label - 1
 
+    @cached_property
+    def _direct(self) -> tuple[float, ...]:
+        """Pickup-to-own-dropoff distance by point label (index 0 is padding)."""
+        labels = range(1, self.n + 1)
+        return (0.0,) + tuple(self.rows[p - 1][self.dropoff_index(p)] for p in labels)
+
     def direct_distance(self, point_label: int) -> float:
-        return self.rows[point_label - 1][self.dropoff_index(point_label)]
+        return self._direct[point_label]
 
     @cached_property
     def alpha_prefix(self) -> tuple[float, ...]:
@@ -350,35 +356,41 @@ class Route:
     def n(self) -> int:
         return len(self.pickup_order)
 
-    def validate(self, instance: Instance) -> None:
-        order = self.pickup_order
-        if sorted(order) != list(range(1, instance.n + 1)):
-            raise MalformedInputError(
-                f"route must pick up each of the {instance.n} points exactly once, got {order}"
-            )
+    @cached_property
+    def _shape(self) -> tuple[int, str | None, bool]:
+        """Instance-free checks: (rider count, or -1 unless the pickups are a
+        permutation of 1..n; first other defect or None; whether a dropoff
+        precedes a pickup)."""
+        n = self.n
+        if sorted(self.pickup_order) != list(range(1, n + 1)):
+            return -1, None, False
         drop_ranks = [idx for kind, idx in self.events if kind == DROPOFF]
-        if sorted(drop_ranks) != list(range(1, instance.n + 1)):
-            raise MalformedInputError("route must drop off each rider exactly once")
+        if sorted(drop_ranks) != list(range(1, n + 1)):
+            return n, "route must drop off each rider exactly once", False
         seen_pickups = 0
-        last_pickup_pos = -1
-        for pos, (kind, idx) in enumerate(self.events):
+        for kind, idx in self.events:
             if kind == PICKUP:
                 seen_pickups += 1
-                last_pickup_pos = pos
-            elif kind == DROPOFF:
-                if idx > seen_pickups:
-                    raise MalformedInputError(f"rider {idx} dropped off before boarding")
-            else:
-                raise MalformedInputError(f"unknown event kind {kind!r}")
-        if instance.dropoff_mode == SINGLE:
-            first_drop = next(
-                (pos for pos, (kind, _) in enumerate(self.events) if kind == DROPOFF),
-                len(self.events),
-            )
-            if first_drop < last_pickup_pos:
-                raise MalformedInputError(
-                    "single-dropoff routes finish all pickups before the shared dropoff"
-                )
+            elif kind != DROPOFF:
+                return n, f"unknown event kind {kind!r}", False
+            elif idx > seen_pickups:
+                return n, f"rider {idx} dropped off before boarding", False
+        # n pickups and n dropoffs remain, so the pickups come first iff they fill events[:n]
+        return n, None, any(kind != PICKUP for kind, _ in self.events[:n])
+
+    def validate(self, instance: Instance) -> None:
+        """Raise MalformedInputError unless the route serves this instance.
+
+        The instance-free checks are cached per route, so repeat calls are O(1).
+        """
+        riders, defect, interleaved = self._shape
+        if riders != instance.n:
+            defect = (f"route must pick up each of the {instance.n} points exactly once, "
+                      f"got {self.pickup_order}")
+        elif defect is None and interleaved and instance.dropoff_mode == SINGLE:
+            defect = "single-dropoff routes finish all pickups before the shared dropoff"
+        if defect is not None:
+            raise MalformedInputError(defect)
 
     def event_points(self, instance: Instance) -> list[int]:
         """0-based table index visited by each event, in order."""

@@ -1,23 +1,24 @@
 """Enumeration and optimization over feasible single-dropoff routes.
 
 Each stage constraint involves only the two pickups it connects and the
-stage number, so a boarding-order prefix that fails its last constraint can
-never extend to a feasible route; the depth-first enumeration prunes on
-that. Finding the shortest feasible route is exhaustive (the problem is
-hard in general), with a branch-and-bound cut on partial distance. The line
-metric with equal rates is the polynomial special case.
+stage number, so every search request first tabulates all stage verdicts
+once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies).
+A boarding-order prefix that fails its last constraint can never extend to
+a feasible route; both depth-first searches prune on that table. Finding
+the shortest feasible route is exhaustive (the problem is hard in
+general), with a branch-and-bound cut on partial distance. The line metric
+with equal rates is the polynomial special case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SizeError, UnsupportedModeError
-from .feasibility import _single_dropoff_stage_bound
+from .feasibility import _single_dropoff_stage
 from .instances import SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, comparison_tolerance
+from .numeric import DEFAULT_REL_TOL, approx_leq
 
 DEFAULT_CAP = 10
 
@@ -46,13 +47,15 @@ def _check_searchable(instance: Instance, cap: int) -> None:
         )
 
 
-def _stage_ok(instance: Instance, prev: int, nxt: int, stage: int, rel: float) -> bool:
-    rows = instance.rows
-    drop = instance.n
-    sd = rows[nxt - 1][drop]
-    detour = rows[prev - 1][nxt - 1] + sd - rows[prev - 1][drop]
-    bound = _single_dropoff_stage_bound(instance, sd, stage)
-    return detour <= bound + comparison_tolerance(max(abs(detour), abs(bound)), rel)
+def _stage_table(instance: Instance, rel: float) -> list[list[list[bool]]]:
+    """``ok[j][a][b]``: may the j-th rider board at pickup b right after pickup a?"""
+    n = instance.n
+    ok = [[[False] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for j in range(2, n + 1):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                ok[j][a][b] = approx_leq(*_single_dropoff_stage(instance, a, b, j), rel)
+    return ok
 
 
 def enumerate_sir_routes(instance: Instance, limit: int | None = None,
@@ -66,7 +69,7 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
     _check_searchable(instance, cap)
     n = instance.n
     rows = instance.rows
-    drop = instance.n
+    ok = _stage_table(instance, rel)
     routes: list[Route] = []
     total_found = 0
     nodes = 0
@@ -85,14 +88,14 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
             route = Route.single_dropoff(order)
             if limit is None or len(routes) < limit:
                 routes.append(route)
-            full = partial_dist + rows[order[-1] - 1][drop]
+            full = partial_dist + instance.direct_distance(order[-1])
             if best is None or full < best[1]:
                 best = (route, full)
             return
         for label in range(1, n + 1):
             if used[label]:
                 continue
-            if depth > 0 and not _stage_ok(instance, order[-1], label, depth + 1, rel):
+            if depth > 0 and not ok[depth + 1][order[-1]][label]:
                 prunes += 1
                 continue
             used[label] = True
@@ -123,7 +126,7 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     _check_searchable(instance, cap)
     n = instance.n
     rows = instance.rows
-    drop = instance.n
+    ok = _stage_table(instance, rel)
     best: tuple[Route, float] | None = None
 
     order: list[int] = []
@@ -135,14 +138,14 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
             return
         depth = len(order)
         if depth == n:
-            full = partial_dist + rows[order[-1] - 1][drop]
+            full = partial_dist + instance.direct_distance(order[-1])
             if best is None or full < best[1]:
                 best = (Route.single_dropoff(order), full)
             return
         for label in range(1, n + 1):
             if used[label]:
                 continue
-            if depth > 0 and not _stage_ok(instance, order[-1], label, depth + 1, rel):
+            if depth > 0 and not ok[depth + 1][order[-1]][label]:
                 continue
             used[label] = True
             order.append(label)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DegenerateDistanceError, UnsupportedModeError
 from .feasibility import sir_feasible
-from .instances import SINGLE, Instance, Route
+from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
 from .numeric import DEFAULT_REL_TOL
 from . import search as _search
 
@@ -38,9 +38,8 @@ class StarvationReport:
 def _per_passenger_factors(instance: Instance, route: Route) -> list[float]:
     rows = instance.rows
     order = route.pickup_order
-    drop = instance.n
     n = len(order)
-    sd = [rows[p - 1][drop] for p in order]
+    sd = [instance.direct_distance(p) for p in order]
     for r, dist in enumerate(sd, start=1):
         if dist <= 0.0:
             raise DegenerateDistanceError(
@@ -65,17 +64,16 @@ def starvation_report(instance: Instance, route: Route,
     """
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("starvation factors are defined for single-dropoff routes")
-    route.validate(instance)
+    feasible = sir_feasible(instance, route, rel=rel).feasible
     factors = _per_passenger_factors(instance, route)
     gamma = max(factors)
-    feasible = sir_feasible(instance, route, rel=rel, validate=False).feasible
 
     checks: list[BoundCheck] = []
     if feasible:
         n = instance.n
-        if instance.regime == "infinite":
+        if instance.regime == REGIME_INFINITE:
             checks.append(BoundCheck("no_detour", 1.0, gamma <= 1.0 + rel * n + 1e-12))
-        elif instance.regime == "zero":
+        elif instance.regime == REGIME_ZERO:
             bound = float(2 ** n)
             checks.append(BoundCheck("exp", bound, gamma <= bound + rel * bound))
         elif all(a >= instance.alpha_op for a in instance.alphas):

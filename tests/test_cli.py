@@ -223,3 +223,49 @@ def test_tolerance_env_override(lb_instance, capsys, monkeypatch):
                                 "--route", "2,1,3")
     assert strict_code == 2
     assert code == 0
+
+
+@pytest.fixture
+def lb4_instance(tmp_path):
+    path = tmp_path / "lb4.json"
+    ss.generate_lower_bound_instance(4).save(path)
+    return str(path)
+
+
+BAD_INPUTS = [
+    ({}, ["share", "{lb3}", "--route", "1,2,3", "--beta", "0.5,x"]),
+    ({}, ["generate", "hampath", "--vertices", "3", "--edges", "1-x"]),
+    ({}, ["generate", "hampath", "--vertices", "3", "--edges", "12"]),
+    ({}, ["generate", "lower-bound", "--alphas", "1,a,1"]),
+    ({}, ["generate", "path-tsp", "--coords", "0;x;3"]),
+    # 4,3,2,1 is infeasible on this instance; no tolerance may wave it through
+    ({}, ["check-route", "{lb4}", "--route", "4,3,2,1", "--tolerance", "nan"]),
+    ({}, ["check-route", "{lb4}", "--route", "4,3,2,1", "--tolerance", "inf"]),
+    ({}, ["check-route", "{lb4}", "--route", "4,3,2,1", "--tolerance", "-0.5"]),
+    ({"SIRSHARE_TOLERANCE": "abc"}, ["check-route", "{lb4}", "--route", "4,3,2,1"]),
+    ({"SIRSHARE_TOLERANCE": "nan"}, ["check-route", "{lb4}", "--route", "4,3,2,1"]),
+]
+
+
+def _bad_input_id(value):
+    if isinstance(value, dict):
+        return " ".join(f"{k}={v}" for k, v in value.items()) or "no-env"
+    return " ".join(value)
+
+
+@pytest.mark.parametrize("env, argv", BAD_INPUTS, ids=_bad_input_id)
+def test_bad_input_exits_one_with_error(env, argv, lb_instance, lb4_instance, capsys,
+                                        monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.format(lb3=lb_instance, lb4=lb4_instance) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_lower_bound_reverse_route_is_infeasible(lb4_instance, capsys):
+    code, _, _ = run_cli(capsys, "check-route", lb4_instance, "--route", "4,3,2,1")
+    assert code == 2

@@ -344,3 +344,68 @@ def test_route_validation_rejects_drop_before_pickup():
     bad = ss.Route(events=(("P", 1), ("D", 2), ("P", 2), ("D", 1)))
     with pytest.raises(MalformedInputError):
         bad.validate(inst)
+
+
+@pytest.mark.parametrize("alpha_op, alphas", [
+    (1.0, (math.nan, 1.0)),
+    (1.0, (1.0, math.inf)),
+    (math.inf, (1.0, 1.0)),
+    (math.nan, (1.0, 1.0)),
+], ids=["nan-alpha", "inf-alpha", "inf-alpha-op", "nan-alpha-op"])
+def test_instance_rejects_non_finite_rates(alpha_op, alphas):
+    table = ss.from_euclidean([0.0, 1.0, 3.0])
+    with pytest.raises(MalformedInputError):
+        ss.Instance(dist=table, n=2, dropoff_mode="single",
+                    alpha_op=alpha_op, alphas=alphas)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("alphas", "[NaN, 1.0]"),
+    ("alphas", "[1.0, Infinity]"),
+    ("alpha_op", "Infinity"),
+])
+def test_instance_from_json_rejects_non_finite_rates(field, text):
+    data = ss.generate_sqrt_tight_instance(2).to_dict()
+    data[field] = json.loads(text)
+    with pytest.raises(MalformedInputError):
+        ss.Instance.from_dict(data)
+
+
+MULTI_INTERLEAVED = ss.Route(events=(("P", 1), ("D", 1), ("P", 2), ("D", 2)))
+
+
+@pytest.mark.parametrize("route, message", [
+    (ss.Route.single_dropoff([1, 1, 2]),
+     "route must pick up each of the 3 points exactly once, got (1, 1, 2)"),
+    (ss.Route.single_dropoff([1, 2]),
+     "route must pick up each of the 3 points exactly once, got (1, 2)"),
+    (ss.Route(events=(("P", 1), ("P", 2), ("P", 3), ("D", 1), ("D", 1), ("D", 3))),
+     "route must drop off each rider exactly once"),
+    (ss.Route(events=(("P", 1), ("D", 2), ("P", 2), ("P", 3), ("D", 1), ("D", 3))),
+     "rider 2 dropped off before boarding"),
+    (ss.Route(events=(("P", 1), ("P", 2), ("X", 9), ("P", 3), ("D", 1), ("D", 2), ("D", 3))),
+     "unknown event kind 'X'"),
+    (ss.Route(events=(("P", 1), ("D", 1), ("P", 2), ("P", 3), ("D", 2), ("D", 3))),
+     "single-dropoff routes finish all pickups before the shared dropoff"),
+])
+def test_route_validation_messages_hold_on_repeat(route, message):
+    inst = ss.generate_lower_bound_instance(3)
+    for _ in range(2):  # the second call reads the cached route checks
+        with pytest.raises(MalformedInputError) as info:
+            route.validate(inst)
+        assert str(info.value) == message
+
+
+def test_route_validation_cache_does_not_leak_across_instances():
+    route = ss.Route.single_dropoff([1, 2, 3])
+    route.validate(ss.generate_lower_bound_instance(3))
+    with pytest.raises(MalformedInputError, match="each of the 4 points"):
+        route.validate(ss.generate_lower_bound_instance(4))
+
+    multi = ss.Instance(dist=ss.from_euclidean([0.0, 1.0, 5.0, 7.0]), n=2,
+                        dropoff_mode="multi", alpha_op=1.0, alphas=(1.0, 1.0))
+    single = ss.generate_sqrt_tight_instance(2)
+    MULTI_INTERLEAVED.validate(multi)
+    with pytest.raises(MalformedInputError, match="finish all pickups"):
+        MULTI_INTERLEAVED.validate(single)
+    MULTI_INTERLEAVED.validate(multi)

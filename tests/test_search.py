@@ -5,6 +5,7 @@ import pytest
 
 import sirshare as ss
 from sirshare.errors import SizeError, UnsupportedModeError
+from sirshare.numeric import DEFAULT_REL_TOL
 
 from corpus import (
     brute_force_path_tsp,
@@ -12,13 +13,14 @@ from corpus import (
     random_euclidean_instance,
     random_graph,
     random_line_positions,
+    with_regime,
 )
 
 
-def unpruned_feasible_set(instance):
+def unpruned_feasible_set(instance, rel=DEFAULT_REL_TOL):
     out = []
     for perm in itertools.permutations(range(1, instance.n + 1)):
-        if ss.sir_feasible(instance, ss.Route.single_dropoff(perm)).feasible:
+        if ss.sir_feasible(instance, ss.Route.single_dropoff(perm), rel=rel).feasible:
             out.append(perm)
     return out
 
@@ -46,13 +48,31 @@ def test_enumerate_interior_dropoff_is_empty():
     assert result.optimal is None
 
 
-def test_enumerate_matches_unpruned_scan():
+def _scan_corpus():
     rng = np.random.default_rng(8)
     for _ in range(25):
         n = int(rng.integers(2, 6))
         inst = random_euclidean_instance(rng, n, alpha_low=0.2, alpha_high=2.0)
-        pruned = [r.pickup_order for r in ss.enumerate_sir_routes(inst).routes]
-        assert pruned == unpruned_feasible_set(inst)
+        yield inst
+        yield with_regime(inst, "infinite")
+    for n in range(2, 7):
+        # every stage of the designated route sits exactly on its budget
+        yield ss.generate_lower_bound_instance(n)
+        yield ss.generate_sqrt_tight_instance(n)
+        yield ss.generate_exp_tight_instance(n)  # vanishing-weight regime
+    yield ss.generate_lower_bound_instance(4, alphas=[1.0, 2.0, 0.5, 1.5])
+    yield ss.reduce_hampath(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 5)])
+    yield ss.reduce_hampath(*random_graph(rng, 6, 0.5))
+
+
+def test_enumerate_matches_unpruned_scan():
+    """Search prunes by exactly the stage test sir_feasible applies."""
+    for rel in (DEFAULT_REL_TOL, 0.0):
+        for inst in _scan_corpus():
+            result = ss.enumerate_sir_routes(inst, rel=rel)
+            pruned = [r.pickup_order for r in result.routes]
+            assert pruned == unpruned_feasible_set(inst, rel=rel), (rel, inst.n)
+            assert ss.opt_sir_route(inst, rel=rel) == result.optimal
 
 
 def test_enumerate_lexicographic_and_limit():
