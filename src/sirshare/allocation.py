@@ -88,8 +88,9 @@ def build_network(instance: Instance, m_prime: int) -> FlowNetwork:
     if not 1 <= m_prime <= n:
         raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
     rows = instance.rows
-    # max over pickups and the dropoff; 3x leaves margin over the required 2x
-    big_l = 3.0 * max(max(r) for r in rows)
+    # max over pickups and the dropoff; 3x leaves margin over the required 2x,
+    # and an all-zero table still needs a positive reward for chaining
+    big_l = 3.0 * max(max(r) for r in rows) or 1.0
 
     net = FlowNetwork(n=n, m_prime=m_prime, big_L=big_l, edges=())
     edges: list[tuple[int, int, float, int]] = []

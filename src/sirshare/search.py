@@ -3,19 +3,21 @@
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
 once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies).
-A boarding-order prefix that fails its last constraint can never extend to
-a feasible route; both depth-first searches prune on that table. Finding
-the shortest feasible route is exhaustive (the problem is hard in
-general), with a branch-and-bound cut on partial distance. The line metric
-with equal rates is the polynomial special case.
+One depth-first engine walks the boarding orders in lexicographic pickup
+order for every search question, with two cuts: a prefix that fails its
+last stage never extends to a feasible route, and a prefix whose partial
+distance already reaches the caller's bound cannot beat it (the remaining
+legs are nonnegative). The search is exhaustive (the problem is hard in
+general); the line metric with equal rates is the polynomial special case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import SizeError, UnsupportedModeError
+from .errors import MalformedInputError, SizeError, UnsupportedModeError
 from .feasibility import _single_dropoff_stage
 from .instances import SINGLE, Instance, Route
 from .numeric import DEFAULT_REL_TOL, approx_leq
@@ -37,7 +39,9 @@ class SearchResult:
     truncated: bool
 
 
-def _check_searchable(instance: Instance, cap: int) -> None:
+def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
+    if not 0.0 <= rel < math.inf:
+        raise MalformedInputError(f"relative tolerance must be finite and >= 0, got {rel}")
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("route search is only defined for single-dropoff instances")
     if instance.n > cap:
@@ -58,39 +62,35 @@ def _stage_table(instance: Instance, rel: float) -> list[list[list[bool]]]:
     return ok
 
 
-def enumerate_sir_routes(instance: Instance, limit: int | None = None,
-                         cap: int = DEFAULT_CAP,
-                         rel: float = DEFAULT_REL_TOL) -> SearchResult:
-    """All feasible boarding orders, in lexicographic pickup order.
+def _search(instance: Instance, rel: float, cap: int,
+            visit: Callable[[tuple[int, ...], float], float | None]) -> SearchStats:
+    """Walk the feasible boarding orders in lexicographic pickup order.
 
-    ``limit`` truncates the returned route list (the minimum-distance route
-    is still taken over everything enumerated).
+    ``visit(order, distance)`` sees each feasible complete order with its
+    total distance (hops left to right, then the last rider's direct trip).
+    If it returns a distance, the rest of the walk cuts every prefix whose
+    partial distance already reaches it.
     """
-    _check_searchable(instance, cap)
+    _check_searchable(instance, cap, rel)
     n = instance.n
     rows = instance.rows
     ok = _stage_table(instance, rel)
-    routes: list[Route] = []
-    total_found = 0
-    nodes = 0
-    prunes = 0
-    best: tuple[Route, float] | None = None
+    nodes = prunes = 0
+    bound = None
 
     order: list[int] = []
     used = [False] * (n + 1)
 
     def dfs(partial_dist: float) -> None:
-        nonlocal nodes, prunes, best, total_found
+        nonlocal nodes, prunes, bound
+        if bound is not None and partial_dist >= bound:
+            return
         nodes += 1
         depth = len(order)
         if depth == n:
-            total_found += 1
-            route = Route.single_dropoff(order)
-            if limit is None or len(routes) < limit:
-                routes.append(route)
-            full = partial_dist + instance.direct_distance(order[-1])
-            if best is None or full < best[1]:
-                best = (route, full)
+            cut = visit(tuple(order), partial_dist + instance.direct_distance(order[-1]))
+            if cut is not None:
+                bound = cut
             return
         for label in range(1, n + 1):
             if used[label]:
@@ -106,11 +106,35 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
             used[label] = False
 
     dfs(0.0)
+    return SearchStats(nodes_expanded=nodes, prunes=prunes)
+
+
+def enumerate_sir_routes(instance: Instance, limit: int | None = None,
+                         cap: int = DEFAULT_CAP,
+                         rel: float = DEFAULT_REL_TOL) -> SearchResult:
+    """All feasible boarding orders, in lexicographic pickup order.
+
+    ``limit`` truncates the returned route list (the minimum-distance route
+    is still taken over everything enumerated).
+    """
+    routes: list[Route] = []
+    found = 0
+    best: tuple[tuple[int, ...], float] | None = None
+
+    def visit(order: tuple[int, ...], dist: float) -> None:
+        nonlocal found, best
+        found += 1
+        if limit is None or len(routes) < limit:
+            routes.append(Route.single_dropoff(order))
+        if best is None or dist < best[1]:
+            best = (order, dist)
+
+    stats = _search(instance, rel, cap, visit)
     return SearchResult(
         routes=tuple(routes),
-        optimal=best,
-        stats=SearchStats(nodes_expanded=nodes, prunes=prunes),
-        truncated=limit is not None and total_found > len(routes),
+        optimal=None if best is None else (Route.single_dropoff(best[0]), best[1]),
+        stats=stats,
+        truncated=limit is not None and found > len(routes),
     )
 
 
@@ -118,44 +142,19 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
                   rel: float = DEFAULT_REL_TOL):
     """Minimum-total-distance feasible route, or None if none exists.
 
-    Branch and bound: a partial boarding order is cut once its accumulated
-    distance already reaches the incumbent (remaining legs are nonnegative,
-    so zero is an admissible completion bound). Exact ties keep the
-    lexicographically smallest pickup sequence.
+    Branch and bound: the incumbent's distance bounds the rest of the walk.
+    Exact ties keep the lexicographically smallest pickup sequence.
     """
-    _check_searchable(instance, cap)
-    n = instance.n
-    rows = instance.rows
-    ok = _stage_table(instance, rel)
-    best: tuple[Route, float] | None = None
+    best: tuple[tuple[int, ...], float] | None = None
 
-    order: list[int] = []
-    used = [False] * (n + 1)
-
-    def dfs(partial_dist: float) -> None:
+    def visit(order: tuple[int, ...], dist: float) -> float:
         nonlocal best
-        if best is not None and partial_dist >= best[1]:
-            return
-        depth = len(order)
-        if depth == n:
-            full = partial_dist + instance.direct_distance(order[-1])
-            if best is None or full < best[1]:
-                best = (Route.single_dropoff(order), full)
-            return
-        for label in range(1, n + 1):
-            if used[label]:
-                continue
-            if depth > 0 and not ok[depth + 1][order[-1]][label]:
-                continue
-            used[label] = True
-            order.append(label)
-            hop = 0.0 if depth == 0 else rows[order[-2] - 1][label - 1]
-            dfs(partial_dist + hop)
-            order.pop()
-            used[label] = False
+        if best is None or dist < best[1]:
+            best = (order, dist)
+        return best[1]
 
-    dfs(0.0)
-    return best
+    _search(instance, rel, cap, visit)
+    return None if best is None else (Route.single_dropoff(best[0]), best[1])
 
 
 def line_metric_verdict(positions: Sequence[float], dropoff: float):

@@ -17,7 +17,7 @@ from .errors import DegenerateDistanceError, UnsupportedModeError
 from .feasibility import sir_feasible
 from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
 from .numeric import DEFAULT_REL_TOL
-from . import search as _search
+from .search import DEFAULT_CAP, _search
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class StarvationReport:
     feasible: bool
 
 
-def _per_passenger_factors(instance: Instance, route: Route) -> list[float]:
+def _per_passenger_factors(instance: Instance, order: Sequence[int]) -> list[float]:
     rows = instance.rows
-    order = route.pickup_order
     n = len(order)
     sd = [instance.direct_distance(p) for p in order]
     for r, dist in enumerate(sd, start=1):
@@ -65,7 +64,7 @@ def starvation_report(instance: Instance, route: Route,
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("starvation factors are defined for single-dropoff routes")
     feasible = sir_feasible(instance, route, rel=rel).feasible
-    factors = _per_passenger_factors(instance, route)
+    factors = _per_passenger_factors(instance, route.pickup_order)
     gamma = max(factors)
 
     checks: list[BoundCheck] = []
@@ -87,24 +86,24 @@ def starvation_report(instance: Instance, route: Route,
     )
 
 
-def min_route_starvation(instance: Instance, cap: int = 10,
+def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                          rel: float = DEFAULT_REL_TOL):
     """Feasible route with the smallest starvation factor, or None.
 
     Exhaustive over feasible boarding orders (which is why the size cap
     exists); exact ties keep the lexicographically smallest pickup sequence.
     """
-    result = _search.enumerate_sir_routes(instance, cap=cap, rel=rel)
-    best = None
-    best_gamma = math.inf
-    for route in result.routes:
-        gamma = max(_per_passenger_factors(instance, route))
+    best, best_gamma = None, math.inf
+
+    def visit(order: tuple[int, ...], dist: float) -> None:
+        nonlocal best, best_gamma
+        gamma = max(_per_passenger_factors(instance, order))
         if gamma < best_gamma:
-            best = route
+            best = order
             best_gamma = gamma
-    if best is None:
-        return None
-    return best, best_gamma
+
+    _search(instance, rel, cap, visit)
+    return None if best is None else (Route.single_dropoff(best), best_gamma)
 
 
 def lower_bound_value(n: int, alpha_op: float, alphas: Sequence[float]) -> float:

@@ -43,10 +43,10 @@ def test_network_n3_ordered_pair_edges():
 
 
 def test_network_big_l_dominates():
-    inst = line_example()
-    net = ss.build_network(inst, 1)
-    maxdist = float(inst.dist.entries.max())
-    assert net.big_L > 2.0 * maxdist
+    for inst in (line_example(), ss.line_instance([0.0, 0.0], 0.0)):
+        net = ss.build_network(inst, 1)
+        maxdist = float(inst.dist.entries.max())
+        assert net.big_L > 2.0 * maxdist
 
 
 def test_network_m_prime_out_of_range():
@@ -177,9 +177,9 @@ def test_brute_force_size_cap():
 
 def test_optimal_matches_brute_force_small():
     rng = np.random.default_rng(33)
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        inst = random_euclidean_instance(rng, n)
+    instances = [random_euclidean_instance(rng, int(rng.integers(1, 7))) for _ in range(40)]
+    # every pickup on the dropoff: all distances, and so 3x their max, are 0
+    for inst in instances + [ss.line_instance([0.0, 0.0], 0.0)]:
         fast = ss.optimal_allocation(inst)
         oracle = ss.brute_force_allocation(inst)
         assert fast.total_miles == pytest.approx(oracle.total_miles, rel=1e-9)

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import sirshare as ss
-from sirshare.errors import SizeError, UnsupportedModeError
+from sirshare.errors import MalformedInputError, SizeError, UnsupportedModeError
 from sirshare.numeric import DEFAULT_REL_TOL
 
 from corpus import (
@@ -65,6 +66,16 @@ def _scan_corpus():
     yield ss.reduce_hampath(*random_graph(rng, 6, 0.5))
 
 
+def least_starved(instance, routes, rel):
+    # first route with the least starvation factor, each scored on its own
+    best = None
+    for route in routes:
+        gamma = max(ss.starvation_report(instance, route, rel=rel).per_passenger)
+        if best is None or gamma < best[1]:
+            best = (route, gamma)
+    return best
+
+
 def test_enumerate_matches_unpruned_scan():
     """Search prunes by exactly the stage test sir_feasible applies."""
     for rel in (DEFAULT_REL_TOL, 0.0):
@@ -73,6 +84,13 @@ def test_enumerate_matches_unpruned_scan():
             pruned = [r.pickup_order for r in result.routes]
             assert pruned == unpruned_feasible_set(inst, rel=rel), (rel, inst.n)
             assert ss.opt_sir_route(inst, rel=rel) == result.optimal
+            try:
+                expected = least_starved(inst, result.routes, rel)
+            except ss.SirshareError as exc:
+                with pytest.raises(type(exc)):
+                    ss.min_route_starvation(inst, rel=rel)
+            else:
+                assert ss.min_route_starvation(inst, rel=rel) == expected
 
 
 def test_enumerate_lexicographic_and_limit():
@@ -106,8 +124,19 @@ def test_enumerate_rejects_multi_dropoff():
 def test_enumerate_prune_stats_reported():
     inst = ss.reduce_hampath(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     result = ss.enumerate_sir_routes(inst)
-    assert result.stats.prunes > 0
-    assert result.stats.nodes_expanded > 0
+    assert result.stats == ss.SearchStats(nodes_expanded=26, prunes=40)
+    # truncating the listing does not truncate the walk
+    assert ss.enumerate_sir_routes(inst, limit=1).stats == result.stats
+
+
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("search", [ss.enumerate_sir_routes, ss.opt_sir_route,
+                                    ss.min_route_starvation],
+                         ids=["enumerate", "opt", "min_starvation"])
+def test_search_rejects_bad_tolerance(search, rel):
+    inst = ss.generate_sqrt_tight_instance(5)  # 8 feasible boarding orders
+    with pytest.raises(MalformedInputError):
+        search(inst, rel=rel)
 
 
 # ---------------------------------------------------------------------------
