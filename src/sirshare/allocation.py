@@ -216,6 +216,12 @@ def extract_allocation(network: FlowNetwork, flow: FlowResult,
     cover every rider, and a flow cost that differs from the allocation's
     vehicle-miles by exactly (n - m') * L.
     """
+    return _extract(network, flow, rel, _mile_costs(network))
+
+
+def _extract(network: FlowNetwork, flow: FlowResult, rel: float,
+             miles: tuple[dict, dict]) -> Allocation:
+    """``extract_allocation`` with the network's ``_mile_costs`` supplied."""
     if flow.disconnected:
         raise FlowExtractionError("flow did not reach the sink; network is malformed")
     n = network.n
@@ -257,7 +263,7 @@ def extract_allocation(network: FlowNetwork, flow: FlowResult,
     if covered != n:
         raise FlowExtractionError(f"paths cover {covered} riders, expected {n}")
 
-    total = _allocation_miles(network, vehicles)
+    total = _allocation_miles(miles, vehicles)
     implied = flow.cost + (n - network.m_prime) * network.big_L
     if abs(total - implied) > comparison_tolerance(max(abs(total), abs(implied)), rel):
         raise FlowExtractionError(
@@ -266,8 +272,13 @@ def extract_allocation(network: FlowNetwork, flow: FlowResult,
     return Allocation(vehicles=tuple(vehicles), total_miles=total)
 
 
-def _allocation_miles(network: FlowNetwork, vehicles) -> float:
-    # rebuild from the edge costs so the check shares no arithmetic with the solver
+def _mile_costs(network: FlowNetwork) -> tuple[dict, dict]:
+    """Per-rider dropoff legs and per-pair chaining legs, read off the edges.
+
+    Rebuilt from the edge costs (chaining legs plus ``big_L``) so the miles
+    check shares no arithmetic with the solver. Only the dropoff-to-sink
+    capacity depends on m', so one lookup serves every vehicle count.
+    """
     cost_to_drop = {}
     cost_between = {}
     for tail, head, cost, _ in network.edges:
@@ -277,6 +288,11 @@ def _allocation_miles(network: FlowNetwork, vehicles) -> float:
             cost_to_drop[tail // 2] = cost
         elif tail % 2 == 0 and head % 2 == 1:
             cost_between[(tail // 2, (head + 1) // 2)] = cost + network.big_L
+    return cost_to_drop, cost_between
+
+
+def _allocation_miles(miles: tuple[dict, dict], vehicles) -> float:
+    cost_to_drop, cost_between = miles
     total = 0.0
     for chain in vehicles:
         for a, b in zip(chain, chain[1:]):
@@ -295,14 +311,16 @@ def optimal_allocation(instance: Instance) -> Allocation:
     """
     full = build_network(instance, instance.n)
     *chain, (drop, sink, cost, _) = full.edges
+    miles = _mile_costs(full)
     best: Allocation | None = None
     for k, snapshot in _augmentations(full):
         if k == 0:
             continue
         network = replace(full, m_prime=k, edges=(*chain, (drop, sink, cost, k)))
         flows = snapshot()
-        alloc = extract_allocation(
-            network, FlowResult(value=k, cost=_flow_cost(network, flows), flows=flows))
+        alloc = _extract(
+            network, FlowResult(value=k, cost=_flow_cost(network, flows), flows=flows),
+            DEFAULT_REL_TOL, miles)
         if best is None or alloc.total_miles < best.total_miles:
             best = alloc
     return best

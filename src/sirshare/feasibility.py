@@ -19,7 +19,7 @@ from .errors import (
     MalformedInputError,
 )
 from .instances import PICKUP, REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, approx_leq, comparison_tolerance
+from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance, comparison_tolerance
 
 
 def conditional_route(route: Route, j: int) -> Route:
@@ -336,8 +336,10 @@ def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
     against its shrinking budget (``_single_dropoff_stage``). ``general=True``
     forces the stage-cost form that also covers interleaved per-rider
     dropoffs. Stage slacks within tolerance of zero count as feasible. The
-    route is validated first; that check is cached per route.
+    tolerance and route are validated first; the route check is cached per
+    route.
     """
+    check_tolerance(rel)
     route.validate(instance)
     n = instance.n
     stages: list[StageSlack] = []

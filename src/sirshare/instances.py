@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, MalformedInputError
-from .numeric import DEFAULT_REL_TOL, comparison_tolerance
+from .numeric import ABS_FLOOR, DEFAULT_REL_TOL, check_tolerance
 
 SINGLE = "single"
 MULTI = "multi"
@@ -35,6 +35,9 @@ REGIMES = (REGIME_FINITE, REGIME_ZERO, REGIME_INFINITE)
 
 PICKUP = "P"
 DROPOFF = "D"
+
+# Sums held at once by the triangle check (float64 elements per row block).
+_TRIANGLE_BLOCK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +69,26 @@ def _as_square_matrix(entries) -> np.ndarray:
     return arr
 
 
+def _tolerances(scale: np.ndarray, rel_tol: float):
+    """Elementwise ``comparison_tolerance`` for a nonnegative scale array."""
+    if rel_tol == 0.0:
+        return 0  # an int keeps integer tables in integer arithmetic
+    return np.maximum(rel_tol * scale, ABS_FLOOR)
+
+
 def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
     """Report every symmetry, nonnegativity, diagonal, and triangle violation.
 
     ``table`` may be a raw matrix or a :class:`DistanceTable`. A relative
-    tolerance of 0 makes every check exact.
+    tolerance of 0 makes every check exact. Violations come out diagonal
+    first, then per pair (a < b) its asymmetry before its negativity, then
+    triangles in lexicographic (a, b, c) order with a < c.
+
+    Cost: O(m^3) time and O(m^2) memory for m points. The triangle check
+    walks the endpoint rows ``a`` in blocks of about ``_TRIANGLE_BLOCK``
+    sums, so no m^3 array is ever held.
     """
+    check_tolerance(rel_tol)
     if isinstance(table, DistanceTable):
         d = table.entries
     else:
@@ -79,42 +96,42 @@ def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
     m = d.shape[0]
     violations: list[MetricViolation] = []
 
-    for a in range(m):
-        if abs(d[a, a]) > comparison_tolerance(d[a, a], rel_tol):
-            violations.append(MetricViolation("diagonal", (a,), abs(float(d[a, a]))))
-    for a in range(m):
-        for b in range(a + 1, m):
-            tol = comparison_tolerance(max(abs(d[a, b]), abs(d[b, a])), rel_tol)
-            if abs(d[a, b] - d[b, a]) > tol:
-                violations.append(
-                    MetricViolation("asymmetric", (a, b), abs(float(d[a, b] - d[b, a])))
-                )
-            if d[a, b] < -comparison_tolerance(d[a, b], rel_tol):
-                violations.append(MetricViolation("negative", (a, b), -float(d[a, b])))
+    diag = np.abs(np.diagonal(d))
+    for a in np.flatnonzero(diag > _tolerances(diag, rel_tol)):
+        violations.append(MetricViolation("diagonal", (int(a),), float(diag[a])))
+
+    gap = np.abs(d - d.T)
+    asym = gap > _tolerances(np.maximum(np.abs(d), np.abs(d.T)), rel_tol)
+    neg = d < -_tolerances(np.abs(d), rel_tol)
+    for a, b in zip(*np.nonzero(asym | neg)):
+        if a < b:  # the upper triangle, in row-major order
+            pair = (int(a), int(b))
+            if asym[a, b]:
+                violations.append(MetricViolation("asymmetric", pair, float(gap[a, b])))
+            if neg[a, b]:
+                violations.append(MetricViolation("negative", pair, -float(d[a, b])))
 
     # Triangle check: d(a,c) <= d(a,b) + d(b,c) for every b distinct from a, c.
-    if m >= 3:
-        sums = d[:, :, None] + d[None, :, :]  # sums[a, b, c] = d(a,b) + d(b,c)
-        direct = np.broadcast_to(d[:, None, :], sums.shape)
-        scale = np.maximum(np.abs(direct), np.abs(sums))
-        if rel_tol == 0.0:
-            tol = np.zeros_like(scale)
-        else:
-            tol = np.maximum(rel_tol * scale, 1e-12)
-        bad = direct > sums + tol
-        for a in range(m):
-            bad[a, a, :] = False
-            bad[a, :, a] = False
-            bad[:, a, a] = False
-        for a, b, c in np.argwhere(bad):
-            if a < c:  # one report per unordered endpoint pair and witness
-                violations.append(
-                    MetricViolation(
-                        "triangle",
-                        (int(a), int(b), int(c)),
-                        float(d[a, c] - (d[a, b] + d[b, c])),
-                    )
-                )
+    # The tolerance is never negative, so only entries with d(a,c) above the
+    # bare sum can fail; the tolerance is computed for those alone.
+    rows_per_block = max(1, _TRIANGLE_BLOCK // max(m * m, 1))
+    for a0 in range(0, m - 1, rows_per_block):
+        a1 = min(a0 + rows_per_block, m - 1)
+        sums = d[a0:a1, :, None] + d[None, :, a0 + 1:]  # sums[a, b, c] = d(a,b) + d(b,c)
+        over = d[a0:a1, None, a0 + 1:] > sums
+        if not over.any():
+            continue
+        found = np.nonzero(over)
+        via = sums[found]
+        a, b, c = found[0] + a0, found[1], found[2] + a0 + 1
+        keep = (a < c) & (b != a) & (b != c)  # one report per endpoint pair and witness
+        a, b, c, via = a[keep], b[keep], c[keep], via[keep]
+        direct = d[a, c]
+        bad = direct > via + _tolerances(np.maximum(np.abs(direct), np.abs(via)), rel_tol)
+        for a_, b_, c_, excess in zip(a[bad], b[bad], c[bad], (direct - via)[bad]):
+            violations.append(
+                MetricViolation("triangle", (int(a_), int(b_), int(c_)), float(excess))
+            )
 
     return MetricReport(ok=not violations, violations=tuple(violations))
 

@@ -6,8 +6,22 @@ relative tolerance of exactly 0 selects strict comparisons (useful when the
 inputs are exact, e.g. dyadic rationals).
 """
 
+import math
+
+from .errors import MalformedInputError
+
 DEFAULT_REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
+
+
+def check_tolerance(rel: float) -> None:
+    """Raise MalformedInputError unless ``rel`` is a usable relative tolerance.
+
+    A NaN, infinite or negative tolerance would turn every comparison into
+    a silent verdict, so public entry points reject it up front.
+    """
+    if not 0.0 <= rel < math.inf:
+        raise MalformedInputError(f"relative tolerance must be finite and >= 0, got {rel}")
 
 
 def comparison_tolerance(scale: float, rel: float = DEFAULT_REL_TOL) -> float:

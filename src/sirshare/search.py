@@ -13,14 +13,13 @@ general); the line metric with equal rates is the polynomial special case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import MalformedInputError, SizeError, UnsupportedModeError
+from .errors import SizeError, UnsupportedModeError
 from .feasibility import _single_dropoff_stage
 from .instances import SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, approx_leq
+from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 
 DEFAULT_CAP = 10
 
@@ -40,8 +39,7 @@ class SearchResult:
 
 
 def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
-    if not 0.0 <= rel < math.inf:
-        raise MalformedInputError(f"relative tolerance must be finite and >= 0, got {rel}")
+    check_tolerance(rel)
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("route search is only defined for single-dropoff instances")
     if instance.n > cap:

@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import DegenerateDistanceError, UnsupportedModeError
 from .feasibility import sir_feasible
 from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL
+from .numeric import DEFAULT_REL_TOL, check_tolerance
 from .search import DEFAULT_CAP, _search
 
 
@@ -61,6 +61,7 @@ def starvation_report(instance: Instance, route: Route,
     Ceiling checks only apply to feasible routes, and only the ceiling whose
     weight condition the instance meets is reported.
     """
+    check_tolerance(rel)
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("starvation factors are defined for single-dropoff routes")
     feasible = sir_feasible(instance, route, rel=rel).feasible

@@ -353,3 +353,21 @@ def test_equivalence_multi_dropoff_general_form():
         except InfeasibleRouteError:
             witness_ok = False
         assert verdict == witness_ok
+
+
+# ---------------------------------------------------------------------------
+# tolerance validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("check", [
+    lambda inst, route, rel: ss.sir_feasible(inst, route, rel=rel),
+    lambda inst, route, rel: ss.starvation_report(inst, route, rel=rel),
+    lambda inst, route, rel: ss.validate_metric(inst.dist, rel),
+], ids=["sir_feasible", "starvation_report", "validate_metric"])
+def test_entry_points_reject_bad_tolerance(check, rel):
+    inst = ss.generate_sqrt_tight_instance(5)
+    route = ss.Route.single_dropoff((5, 4, 3, 2, 1))  # feasible at the default tolerance
+    assert ss.sir_feasible(inst, route).feasible
+    with pytest.raises(MalformedInputError, match="relative tolerance"):
+        check(inst, route, rel)

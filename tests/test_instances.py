@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import sirshare as ss
 from sirshare.errors import ConstructionError, MalformedInputError
+from sirshare.numeric import ABS_FLOOR
 
 from corpus import (
     central_product,
@@ -92,6 +94,114 @@ def test_from_euclidean_mixed_dimensions():
 def test_from_euclidean_always_metric_at_tight_tolerance(coords):
     table = ss.from_euclidean(coords)
     assert ss.validate_metric(table, rel_tol=1e-12).ok
+
+
+def _reference_metric_report(entries, rel):
+    """The m^3 formulation: every (a, b, c) at once, pairs by a Python loop."""
+    d = np.asarray(entries, dtype=float)
+    m = d.shape[0]
+
+    def tol(scale):
+        return 0.0 if rel == 0.0 else max(rel * abs(scale), ABS_FLOOR)
+
+    found = []
+    for a in range(m):
+        if abs(d[a, a]) > tol(d[a, a]):
+            found.append(ss.MetricViolation("diagonal", (a,), abs(float(d[a, a]))))
+    for a in range(m):
+        for b in range(a + 1, m):
+            if abs(d[a, b] - d[b, a]) > tol(max(abs(d[a, b]), abs(d[b, a]))):
+                found.append(ss.MetricViolation("asymmetric", (a, b),
+                                                abs(float(d[a, b] - d[b, a]))))
+            if d[a, b] < -tol(d[a, b]):
+                found.append(ss.MetricViolation("negative", (a, b), -float(d[a, b])))
+    if m >= 3:
+        sums = d[:, :, None] + d[None, :, :]
+        direct = np.broadcast_to(d[:, None, :], sums.shape)
+        scale = np.maximum(np.abs(direct), np.abs(sums))
+        tols = np.zeros_like(scale) if rel == 0.0 else np.maximum(rel * scale, ABS_FLOOR)
+        for a, b, c in np.argwhere(direct > sums + tols):
+            if a < c and b != a and b != c:
+                found.append(ss.MetricViolation(
+                    "triangle", (int(a), int(b), int(c)),
+                    float(d[a, c] - (d[a, b] + d[b, c]))))
+    return ss.MetricReport(ok=not found, violations=tuple(found))
+
+
+def _seeded_tables(m, rng):
+    """A clean Euclidean table, a tie-heavy integer one, and planted violations."""
+    pts = rng.uniform(0.0, 10.0, size=(m, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    euclid = np.sqrt((diff * diff).sum(axis=2))
+    yield euclid
+    ints = rng.integers(0, 4, size=(m, m)).astype(float)
+    ints = ints + ints.T
+    np.fill_diagonal(ints, 0.0)
+    yield ints
+    planted = euclid.copy()
+    a, b, c = rng.integers(0, m, size=3)
+    planted[a, a] += 1e-3                             # diagonal
+    planted[a, b] += 10.0 if a != b else 0.0          # asymmetric
+    planted[b, c] = planted[c, b] = -0.25 if b != c else planted[b, c]  # negative
+    planted[c, a] = planted[a, c] = planted[a, c] * (1.0 + 2e-9)  # near the tolerance
+    yield planted
+    far = euclid.copy()
+    far[0, m - 1] = far[m - 1, 0] = 25.0              # exceeds every two-leg sum
+    yield far
+
+
+@pytest.mark.parametrize("as_table", [False, True], ids=["list", "table"])
+@pytest.mark.parametrize("rel", [1e-9, 0.0, 0.3])
+def test_validate_metric_matches_cube_reference(rel, as_table):
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for m in range(1, 41):
+        for entries in _seeded_tables(m, rng):
+            expected = _reference_metric_report(entries, rel)
+            if as_table:
+                arg = ss.DistanceTable(entries=entries.copy(), metric_flag=False)
+            else:
+                arg = entries.tolist()
+            assert ss.validate_metric(arg, rel) == expected, (m, rel)
+            kinds.update(v.kind for v in expected.violations)
+    assert kinds == {"diagonal", "asymmetric", "negative", "triangle"}
+
+
+def test_validate_metric_boundary_is_within_tolerance():
+    # each entry sits exactly on its tolerance, which the strict checks allow
+    assert ss.validate_metric([[1e-12]]).ok  # floor 1e-12
+    assert ss.validate_metric([[0, -1e-12], [-1e-12, 0]]).ok
+    assert ss.validate_metric([[0, 2], [1, 0]], 0.5).ok  # gap 1 = 0.5 * 2
+    triangle = [[0, 1, 4], [1, 0, 1], [4, 1, 0]]  # 4 = (1 + 1) + 0.5 * 4
+    assert ss.validate_metric(triangle, 0.5).ok
+    assert ss.validate_metric(triangle, 0.25).violations == (
+        ss.MetricViolation("triangle", (0, 1, 2), 2.0),)
+    assert ss.validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.0).ok  # an exact tie
+
+
+def test_from_matrix_reports_first_hard_violation():
+    # pair (0, 1) is both asymmetric and negative: asymmetry is reported first
+    with pytest.raises(MalformedInputError,
+                       match=r"asymmetric violation at \(0, 1\)$"):
+        ss.DistanceTable.from_matrix([[0, -1, 2], [1, 0, 1], [2, 1, 0]])
+    # pairs come in (a, b) order: negative (0, 1) before asymmetric (0, 2)
+    with pytest.raises(MalformedInputError,
+                       match=r"negative violation at \(0, 1\)$"):
+        ss.DistanceTable.from_matrix([[0, -1, 2], [-1, 0, 1], [3, 1, 0]])
+
+
+def test_validate_metric_memory_is_quadratic():
+    pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(400, 2))
+    table = ss.from_euclidean([tuple(p) for p in pts])
+    tracemalloc.start()
+    try:
+        report = ss.validate_metric(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # one 400^3 float array alone would take 512 MB
+    assert peak < 16 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
