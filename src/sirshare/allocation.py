@@ -1,27 +1,40 @@
 """Optimal assignment of order-constrained riders to uncapacitated vehicles.
 
 Riders share one dropoff and a fixed global boarding order (rider u is the
-u-th pickup); each vehicle serves an increasing subsequence. For a guessed
-vehicle count m' the problem reduces to min-cost max-flow on a DAG: each
-rider becomes a unit-capacity entry/exit pair, chaining rider u before v
-costs their separation minus a large constant L (so covering everyone is
-always worth it), and exiting to the dropoff costs the direct distance.
-Sweeping m' and keeping the cheapest allocation is exact and polynomial, and
-one successive-shortest-paths run serves the whole sweep; a set-partition
-brute force serves as the desk-scale oracle.
+u-th pickup); each vehicle serves an increasing subsequence. An allocation
+is a set of chaining legs u -> v (u < v: rider v is the next to board
+after rider u) in which no rider leaves or is boarded after twice, that is
+a matching in the chaining matrix whose rows are riders leaving and whose
+columns are riders boarding next. A matching of t legs is n - t vehicles,
+and its vehicle-miles are sum_u d(u, D) plus the legs' costs
+c(u, v) = d(u, v) - d(u, D).
+
+Successive shortest paths on that matrix hold, after t augmentations, the
+cheapest matching of t legs, and the path lengths never decrease. So one
+pass serves every vehicle count: a sweep stops at the first path that would
+add miles, a fixed count m' after n - m' augmentations. The paper's
+formulation, min-cost max-flow for a guessed m' on a DAG of 2n + 3 nodes
+(``build_network``, ``min_cost_max_flow``, ``extract_allocation``), stays
+public as an independent check, and a set-partition brute force serves as
+the desk-scale oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FlowExtractionError, MalformedInputError, SizeError, UnsupportedModeError
 from .instances import SINGLE, Instance
-from .numeric import DEFAULT_REL_TOL, comparison_tolerance
+from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerance
 
 BRUTE_FORCE_CAP = 9
+# Relative rounding slack of the matching pass's own sums; the certificate
+# and the sweep's tie window never go below it, so rel=0 works on float tables.
+_ROUNDING = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -30,7 +43,10 @@ class FlowNetwork:
 
     Node ids: source 0, rider u's entry 2u-1 and exit 2u, dropoff 2n+1,
     sink 2n+2. ``edges`` are (tail, head, cost, capacity) in construction
-    order. ``big_L`` strictly exceeds twice the largest pairwise distance.
+    order. Chaining rider u before v costs d(u, v) - ``big_L``, where
+    ``big_L`` is three times the largest table entry, or 1.0 when every
+    entry is 0; either way it exceeds twice every distance, so covering
+    every rider is always cheapest.
     """
 
     n: int
@@ -81,16 +97,24 @@ class Allocation:
         return len(self.vehicles)
 
 
-def build_network(instance: Instance, m_prime: int) -> FlowNetwork:
+def _check_allocatable(instance: Instance, m_prime: int | None) -> None:
     if instance.dropoff_mode != SINGLE:
         raise UnsupportedModeError("allocation is defined for the single-dropoff setting")
-    n = instance.n
-    if not 1 <= m_prime <= n:
-        raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
-    rows = instance.rows
+    if m_prime is not None and not 1 <= m_prime <= instance.n:
+        raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{instance.n}")
+
+
+def _big_l(rows) -> float:
     # max over pickups and the dropoff; 3x leaves margin over the required 2x,
     # and an all-zero table still needs a positive reward for chaining
-    big_l = 3.0 * max(max(r) for r in rows) or 1.0
+    return 3.0 * max(max(r) for r in rows) or 1.0
+
+
+def build_network(instance: Instance, m_prime: int) -> FlowNetwork:
+    _check_allocatable(instance, m_prime)
+    n = instance.n
+    rows = instance.rows
+    big_l = _big_l(rows)
 
     net = FlowNetwork(n=n, m_prime=m_prime, big_L=big_l, edges=())
     edges: list[tuple[int, int, float, int]] = []
@@ -114,24 +138,8 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
     yields exact shortest distances despite the negative chaining costs;
     those seed the potentials, after which every Dijkstra runs on
     nonnegative reduced costs. Augmenting paths are chosen smallest-node
-    first among equals, making the flow deterministic.
-    """
-    for flow_value, snapshot in _augmentations(network):
-        pass
-    flows = snapshot()
-    return FlowResult(value=flow_value, cost=_flow_cost(network, flows), flows=flows,
-                      disconnected=flow_value < network.m_prime)
-
-
-def _augmentations(network: FlowNetwork):
-    """Run successive shortest paths, yielding after the start and each augmentation.
-
-    Each yield is (flow value, snapshot) where ``snapshot()`` returns the
-    current edge flows aligned with ``network.edges``. The run stops at
-    value m' or when the sink becomes unreachable. Every edge but the
-    dropoff-to-sink one has unit capacity, so each augmentation pushes one
-    unit and m' only decides when the run stops: the first k augmentations
-    are the same for every m' >= k.
+    first among equals, making the flow deterministic. The run stops at
+    value m' or when the sink becomes unreachable.
     """
     num = network.num_nodes
     s, t = network.source, network.sink
@@ -144,12 +152,6 @@ def _augmentations(network: FlowNetwork):
         graph[head].append([tail, 0, -cost, len(graph[tail]) - 1])
         forward_ref.append((tail, len(graph[tail]) - 1))
 
-    def snapshot() -> tuple[int, ...]:
-        return tuple(
-            network.edges[k][3] - graph[u][ei][1]
-            for k, (u, ei) in enumerate(forward_ref)
-        )
-
     inf = math.inf
     pot = [inf] * num
     pot[s] = 0.0
@@ -161,18 +163,21 @@ def _augmentations(network: FlowNetwork):
                 pot[head] = pot[u] + cost
 
     flow_value = 0
-    yield flow_value, snapshot
     while flow_value < network.m_prime:
         dist = [inf] * num
         dist[s] = 0.0
         prev: list[tuple[int, int] | None] = [None] * num
+        settled = [False] * num
         heap = [(0.0, s)]
         while heap:
             d_u, u = heapq.heappop(heap)
-            if d_u > dist[u]:
+            if settled[u]:
                 continue
+            # a settled node is final: rounding can leave a reduced cost a
+            # hair below 0, and reopening nodes could close a loop in prev
+            settled[u] = True
             for ei, (head, cap, cost, _) in enumerate(graph[u]):
-                if cap <= 0 or pot[head] == inf:
+                if cap <= 0 or pot[head] == inf or settled[head]:
                     continue
                 nd = d_u + cost + pot[u] - pot[head]
                 if nd < dist[head]:
@@ -180,7 +185,7 @@ def _augmentations(network: FlowNetwork):
                     prev[head] = (u, ei)
                     heapq.heappush(heap, (nd, head))
         if dist[t] == inf:
-            return
+            break
         for v in range(num):
             if dist[v] < inf:
                 pot[v] += dist[v]
@@ -200,11 +205,13 @@ def _augmentations(network: FlowNetwork):
             graph[edge[0]][edge[3]][1] += push
             v = u
         flow_value += push
-        yield flow_value, snapshot
 
-
-def _flow_cost(network: FlowNetwork, flows: tuple[int, ...]) -> float:
-    return sum(f * e[2] for f, e in zip(flows, network.edges))
+    flows = tuple(
+        network.edges[k][3] - graph[u][ei][1] for k, (u, ei) in enumerate(forward_ref)
+    )
+    cost = sum(f * e[2] for f, e in zip(flows, network.edges))
+    return FlowResult(value=flow_value, cost=cost, flows=flows,
+                      disconnected=flow_value < network.m_prime)
 
 
 def extract_allocation(network: FlowNetwork, flow: FlowResult,
@@ -214,33 +221,34 @@ def extract_allocation(network: FlowNetwork, flow: FlowResult,
     Asserts the structure an optimal flow must have rather than assuming
     it: exactly m' vertex-disjoint source-to-dropoff paths that jointly
     cover every rider, and a flow cost that differs from the allocation's
-    vehicle-miles by exactly (n - m') * L.
+    vehicle-miles by exactly (n - m') * L. The miles are read off the edge
+    costs (chaining legs plus ``big_L``), so the check shares no arithmetic
+    with the solver.
     """
-    return _extract(network, flow, rel, _mile_costs(network))
-
-
-def _extract(network: FlowNetwork, flow: FlowResult, rel: float,
-             miles: tuple[dict, dict]) -> Allocation:
-    """``extract_allocation`` with the network's ``_mile_costs`` supplied."""
+    check_tolerance(rel)
     if flow.disconnected:
         raise FlowExtractionError("flow did not reach the sink; network is malformed")
     n = network.n
     starts: list[int] = []
     next_of: dict[int, int | None] = {}
     entry_units = [0] * (n + 1)
-    for (tail, head, _, _), f in zip(network.edges, flow.flows):
-        if f == 0:
-            continue
+    cost_to_drop = {}
+    cost_between = {}
+    for (tail, head, cost, _), f in zip(network.edges, flow.flows):
         if tail == network.source:
-            u = (head + 1) // 2
-            starts.append(u)
-            entry_units[u] += f
-        elif head == network.dropoff and tail != network.source:
-            next_of[tail // 2] = None
-        elif tail != network.dropoff and tail % 2 == 0 and head % 2 == 1:
+            if f:
+                starts.append((head + 1) // 2)
+                entry_units[(head + 1) // 2] += f
+        elif head == network.dropoff:
+            cost_to_drop[tail // 2] = cost
+            if f:
+                next_of[tail // 2] = None
+        elif tail % 2 == 0 and head % 2 == 1:
             u, v = tail // 2, (head + 1) // 2
-            next_of[u] = v
-            entry_units[v] += f
+            cost_between[(u, v)] = cost + network.big_L
+            if f:
+                next_of[u] = v
+                entry_units[v] += f
     for u in range(1, n + 1):
         if entry_units[u] != 1:
             raise FlowExtractionError(
@@ -254,16 +262,18 @@ def _extract(network: FlowNetwork, flow: FlowResult, rel: float,
 
     vehicles = []
     covered = 0
+    total = 0.0
     for u in sorted(starts):
         chain = [u]
         while next_of.get(chain[-1]) is not None:
+            total += cost_between[(chain[-1], next_of[chain[-1]])]
             chain.append(next_of[chain[-1]])
+        total += cost_to_drop[chain[-1]]
         covered += len(chain)
         vehicles.append(tuple(chain))
     if covered != n:
         raise FlowExtractionError(f"paths cover {covered} riders, expected {n}")
 
-    total = _allocation_miles(miles, vehicles)
     implied = flow.cost + (n - network.m_prime) * network.big_L
     if abs(total - implied) > comparison_tolerance(max(abs(total), abs(implied)), rel):
         raise FlowExtractionError(
@@ -272,58 +282,196 @@ def _extract(network: FlowNetwork, flow: FlowResult, rel: float,
     return Allocation(vehicles=tuple(vehicles), total_miles=total)
 
 
-def _mile_costs(network: FlowNetwork) -> tuple[dict, dict]:
-    """Per-rider dropoff legs and per-pair chaining legs, read off the edges.
+class _Matching:
+    """Cheapest matchings of growing size in a chaining matrix.
 
-    Rebuilt from the edge costs (chaining legs plus ``big_L``) so the miles
-    check shares no arithmetic with the solver. Only the dropoff-to-sink
-    capacity depends on m', so one lookup serves every vehicle count.
+    ``cost[i, j]`` is the leg from rider i + 1 to rider j + 2 (+inf where
+    j < i). Augmenting paths run on the residual graph: source -> free row,
+    row -> column, matched column -> its row, free column -> sink. The
+    potentials (``pot_row``, ``pot_col``, ``pot_sink``; the source's is 0)
+    keep every reduced cost ``cost + pot[tail] - pot[head]`` nonnegative,
+    and ``pot_sink`` is the length of the last path found.
     """
-    cost_to_drop = {}
-    cost_between = {}
-    for tail, head, cost, _ in network.edges:
-        if tail == network.source:
-            continue
-        if head == network.dropoff:
-            cost_to_drop[tail // 2] = cost
-        elif tail % 2 == 0 and head % 2 == 1:
-            cost_between[(tail // 2, (head + 1) // 2)] = cost + network.big_L
-    return cost_to_drop, cost_between
+
+    def __init__(self, cost: np.ndarray):
+        m = cost.shape[0]
+        self.cost = cost
+        self.row_match = np.full(m, -1)
+        self.col_match = np.full(m, -1)
+        self.pot_row = np.zeros(m)
+        self.pot_col = cost.min(axis=0) if m else np.zeros(0)
+        self.pot_sink = float(self.pot_col.min()) if m else 0.0
+
+    def shortest_path(self):
+        """Dijkstra from every free row; returns (end column, predecessor rows) or None.
+
+        Columns are settled cheapest first, and the search ends once the
+        cheapest unsettled column is no shorter than the best path found to
+        the sink. Potentials then rise by ``min(dist, dist_sink)``, so the
+        path's real length is the new ``pot_sink``. Ties go to the lowest
+        index.
+        """
+        cost, row_match, col_match = self.cost, self.row_match, self.col_match
+        free_rows = np.flatnonzero(row_match < 0)
+        if not free_rows.size:
+            return None
+        # a free row r sits at -pot_row[r], so its legs reach columns at cost - pot_col
+        reach = cost[free_rows] - self.pot_col
+        pick = reach.argmin(axis=0)
+        dist = reach[pick, np.arange(len(pick))]
+        pred = free_rows[pick]
+        free_col = col_match < 0
+        to_sink = self.pot_col - self.pot_sink
+        via_sink = np.where(free_col, dist + to_sink, np.inf)
+        end = int(via_sink.argmin())
+        dist_sink = via_sink[end]
+        settled = np.zeros(len(dist), dtype=bool)
+        while True:
+            v = int(np.where(settled, np.inf, dist).argmin())
+            if settled[v] or dist[v] >= dist_sink:
+                break
+            settled[v] = True
+            r = col_match[v]
+            if r < 0:  # a free column leads only to the sink
+                continue
+            via = cost[r] + (dist[v] + self.pot_row[r]) - self.pot_col
+            better = (via < dist) & ~settled
+            dist[better] = via[better]
+            pred[better] = r
+            via_sink = np.where(better & free_col, via + to_sink, np.inf)
+            k = int(via_sink.argmin())
+            if via_sink[k] < dist_sink:
+                end, dist_sink = k, via_sink[k]
+        if dist_sink == np.inf:
+            return None
+        step = np.minimum(dist, dist_sink)
+        matched = row_match >= 0
+        self.pot_row[matched] += step[row_match[matched]]
+        self.pot_row[~matched] += np.minimum(-self.pot_row[~matched], dist_sink)
+        self.pot_col += step
+        self.pot_sink += float(dist_sink)
+        return end, pred
+
+    def augment(self, path) -> None:
+        v, pred = path
+        while True:
+            r = pred[v]
+            left = self.row_match[r]
+            self.row_match[r], self.col_match[v] = v, r
+            if left < 0:
+                return
+            v = left
+
+    def certify(self, tol: float) -> None:
+        """Raise FlowExtractionError unless the potentials prove the matching cheapest.
+
+        No residual edge may have reduced cost below ``-tol``: every leg's
+        is at least ``-tol``, and a matched leg's, whose reverse edge is in
+        the residual graph too, at most ``tol``. Then the residual graph has
+        no negative cycle, so no matching of the same size costs less.
+        O(n^2) numpy work.
+        """
+        row_match, col_match = self.row_match, self.col_match
+        pot_row, pot_col, pot_sink = self.pot_row, self.pot_col, self.pot_sink
+        rows = np.flatnonzero(row_match >= 0)
+        cols = row_match[rows]
+        reduced = self.cost + pot_row[:, None] - pot_col
+        conditions = (
+            ("a matching", np.array_equal(col_match[cols], rows)
+             and np.count_nonzero(col_match >= 0) == len(rows)),
+            ("nonnegative reduced leg costs", np.all(reduced >= -tol)),
+            ("tight matched legs", np.all(reduced[rows, cols] <= tol)),
+            ("nonnegative source edges",
+             np.all(np.where(row_match >= 0, pot_row, -pot_row) >= -tol)),
+            ("nonnegative sink edges",
+             np.all(np.where(col_match >= 0, pot_sink - pot_col, pot_col - pot_sink) >= -tol)),
+        )
+        for name, holds in conditions:
+            if not holds:
+                raise FlowExtractionError(f"matching fails its optimality certificate: {name}")
+
+    def vehicles(self) -> tuple[tuple[int, ...], ...]:
+        """Chains of riders, ordered by their first rider."""
+        after = {i + 1: j + 2 for i, j in enumerate(self.row_match.tolist()) if j >= 0}
+        boarded_after = set(after.values())
+        chains = []
+        for u in range(1, len(self.row_match) + 2):
+            if u not in boarded_after:
+                chain = [u]
+                while chain[-1] in after:
+                    chain.append(after[chain[-1]])
+                chains.append(tuple(chain))
+        return tuple(chains)
 
 
-def _allocation_miles(miles: tuple[dict, dict], vehicles) -> float:
-    cost_to_drop, cost_between = miles
+def _chaining_matrix(instance: Instance) -> np.ndarray:
+    """``cost[i, j] = d(i+1, j+2) - d(i+1, D)``: rider j + 2 boards next after rider i + 1."""
+    n = instance.n
+    d = instance.dist.entries
+    cost = d[:n - 1, 1:n] - d[:n - 1, n:]
+    cost[np.tril_indices(n - 1, -1)] = np.inf  # a rider only boards after earlier ones
+    return cost
+
+
+def _fold_miles(rows, big_l: float, vehicles) -> float:
+    """Vehicle-miles folded as the flow's legs: chaining legs (d - L) + L, in chain order."""
+    n = len(rows) - 1
     total = 0.0
     for chain in vehicles:
         for a, b in zip(chain, chain[1:]):
-            total += cost_between[(a, b)]
-        total += cost_to_drop[chain[-1]]
+            total += (rows[a - 1][b - 1] - big_l) + big_l
+        total += rows[chain[-1] - 1][n]
     return total
 
 
-def optimal_allocation(instance: Instance) -> Allocation:
-    """Cheapest allocation over all vehicle counts 1..n.
+def optimal_allocation(instance: Instance, m_prime: int | None = None,
+                       rel: float = DEFAULT_REL_TOL) -> Allocation:
+    """Cheapest allocation over all vehicle counts 1..n, or with exactly ``m_prime`` vehicles.
 
-    One successive-shortest-paths run on the m'=n network serves every
-    count: after k units its flow is the min-cost flow of the m'=k network
-    (see ``_augmentations``), and is extracted against that network.
-    Exact ties keep the smaller vehicle count (k ascends).
+    One successive-shortest-paths pass over the chaining matrix (see
+    ``_Matching``) serves both. The sweep stops at the first augmenting path
+    longer than the tolerance, since later counts only cost more; exact ties
+    keep fewer vehicles. A fixed count stops after n - m' augmentations.
+    ``total_miles`` folds the legs as ``extract_allocation`` does, so where
+    the cheapest allocation of a count is unique the result is ``==`` to the
+    flow's on the m' network; among allocations that tie exactly, the two
+    may pick different ones. Every result is checked by the potentials' dual
+    certificate (``_Matching.certify``); ``rel`` sets its slack and the
+    sweep's tie window, relative to n * L.
+
+    Cost: O(n) augmentations of O(n^2) numpy work each, O(n^2) memory.
     """
-    full = build_network(instance, instance.n)
-    *chain, (drop, sink, cost, _) = full.edges
-    miles = _mile_costs(full)
-    best: Allocation | None = None
-    for k, snapshot in _augmentations(full):
-        if k == 0:
-            continue
-        network = replace(full, m_prime=k, edges=(*chain, (drop, sink, cost, k)))
-        flows = snapshot()
-        alloc = _extract(
-            network, FlowResult(value=k, cost=_flow_cost(network, flows), flows=flows),
-            DEFAULT_REL_TOL, miles)
-        if best is None or alloc.total_miles < best.total_miles:
-            best = alloc
-    return best
+    check_tolerance(rel)
+    _check_allocatable(instance, m_prime)
+    n = instance.n
+    rows = instance.rows
+    big_l = _big_l(rows)
+    tol = max(comparison_tolerance(n * big_l, rel), n * big_l * _ROUNDING)
+    matching = _Matching(_chaining_matrix(instance))
+
+    if m_prime is not None:
+        for _ in range(n - m_prime):
+            matching.augment(matching.shortest_path())
+        matching.certify(tol)
+        vehicles = matching.vehicles()
+        return Allocation(vehicles=vehicles, total_miles=_fold_miles(rows, big_l, vehicles))
+
+    # Counts whose next path is shorter than -tol are beaten by the next
+    # count; the rest are certified and compared on their folded miles,
+    # fewer vehicles winning exact ties.
+    best = None
+    while True:
+        path = matching.shortest_path()
+        length = matching.pot_sink if path is not None else math.inf
+        if length >= -tol:
+            matching.certify(tol)
+            vehicles = matching.vehicles()
+            miles = _fold_miles(rows, big_l, vehicles)
+            if best is None or miles <= best.total_miles:
+                best = Allocation(vehicles=vehicles, total_miles=miles)
+        if length > tol:
+            return best
+        matching.augment(path)
 
 
 def brute_force_allocation(instance: Instance) -> Allocation:

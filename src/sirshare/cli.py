@@ -92,7 +92,7 @@ def _parse_tokens(text: str, sep: str, kind, what: str) -> list:
 
 def cmd_validate(args) -> int:
     inst = Instance.load(args.instance)
-    report = instances.validate_metric(inst.dist.entries, rel_tol=args.tolerance)
+    report = inst.dist.metric_report(args.tolerance)
     declared = inst.dist.metric_flag
     consistent = report.ok == declared or (not declared)
     payload = {
@@ -316,12 +316,7 @@ def cmd_starvation(args) -> int:
 
 def cmd_allocate(args) -> int:
     inst = Instance.load(args.instance)
-    if args.m_prime is not None:
-        network = alloc_mod.build_network(inst, args.m_prime)
-        flow = alloc_mod.min_cost_max_flow(network)
-        allocation = alloc_mod.extract_allocation(network, flow, rel=args.tolerance)
-    else:
-        allocation = alloc_mod.optimal_allocation(inst)
+    allocation = alloc_mod.optimal_allocation(inst, m_prime=args.m_prime, rel=args.tolerance)
     payload = {
         "vehicles": [list(v) for v in allocation.vehicles],
         "m_prime": allocation.m_prime,

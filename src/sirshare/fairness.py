@@ -31,7 +31,7 @@ from .feasibility import (
     stage_costs,
 )
 from .instances import SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, approx_eq, comparison_tolerance
+from .numeric import DEFAULT_REL_TOL, approx_eq, check_tolerance, comparison_tolerance
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ def xc_table(instance: Instance, route: Route,
     their own pickup caused, and is compensated by later arrivals in turn.
     Requires every sensitivity to equal the operator rate (any common scale).
     """
+    check_tolerance(rel)
     _require_single(instance, "segment-split table")
     route.validate(instance)
     aop = instance.alpha_op

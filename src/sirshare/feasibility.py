@@ -192,6 +192,7 @@ def budget_balance_residuals(table: CostShareTable, costs: StageCosts) -> list[f
 def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
                     rel: float) -> StageCosts:
     """Stage costs of the route, once the table is checked to balance them."""
+    check_tolerance(rel)
     costs = stage_costs(instance, route)
     for j, res in enumerate(budget_balance_residuals(table, costs), start=1):
         if abs(res) > comparison_tolerance(costs.oc[j], rel):

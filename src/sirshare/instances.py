@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -142,11 +142,13 @@ class DistanceTable:
 
     ``metric_flag`` asserts the triangle inequality holds; it is computed at
     construction unless explicitly supplied (generators that prove it by
-    construction pass it directly).
+    construction pass it directly). ``load_check`` holds the (tolerance,
+    report) of the check ``from_matrix`` ran, for ``metric_report`` to reuse.
     """
 
     entries: np.ndarray
     metric_flag: bool
+    load_check: tuple[float, MetricReport] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -159,6 +161,12 @@ class DistanceTable:
     def rows(self) -> list[list[float]]:
         # Plain-list view for hot loops.
         return self.entries.tolist()
+
+    def metric_report(self, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
+        """``validate_metric(self, rel_tol)``, reusing the load's check at that tolerance."""
+        if self.load_check is not None and self.load_check[0] == rel_tol:
+            return self.load_check[1]
+        return validate_metric(self, rel_tol)
 
     @classmethod
     def from_matrix(cls, entries, metric_flag: bool | None = None,
@@ -173,7 +181,7 @@ class DistanceTable:
             )
         if metric_flag is None:
             metric_flag = report.ok
-        return cls(entries=arr, metric_flag=bool(metric_flag))
+        return cls(entries=arr, metric_flag=bool(metric_flag), load_check=(rel_tol, report))
 
 
 def from_euclidean(coords: Sequence) -> DistanceTable:

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import sirshare as ss
+from sirshare import allocation
 from sirshare.errors import FlowExtractionError, MalformedInputError, SizeError
 
 from corpus import random_euclidean_instance
@@ -214,3 +217,159 @@ def test_optimal_exact_tie_keeps_fewer_vehicles():
     assert two.total_miles == alloc.total_miles == 2.0
     assert alloc.vehicles == ((1, 2, 3),)
     assert alloc == per_count_reference(inst)
+
+
+# ---------------------------------------------------------------------------
+# fixed vehicle counts and the matching pass's certificate
+# ---------------------------------------------------------------------------
+
+def flow_allocation(inst, m_prime):
+    net = ss.build_network(inst, m_prime)
+    return ss.extract_allocation(net, ss.min_cost_max_flow(net))
+
+
+def best_with_count(inst, m_prime):
+    # cheapest miles over every partition of the riders into m_prime vehicles
+    rows = inst.rows
+    n = inst.n
+    best = None
+    for labels in itertools.product(range(m_prime), repeat=n):
+        if len(set(labels)) != m_prime:
+            continue
+        miles = 0.0
+        for k in range(m_prime):
+            chain = [u for u in range(1, n + 1) if labels[u - 1] == k]
+            miles += sum(rows[a - 1][b - 1] for a, b in zip(chain, chain[1:]))
+            miles += rows[chain[-1] - 1][n]
+        best = miles if best is None else min(best, miles)
+    return best
+
+
+def test_fixed_count_matches_flow():
+    rng = np.random.default_rng(41)
+    for n in range(1, 21):
+        inst = random_euclidean_instance(rng, n)
+        for m_prime in range(1, n + 1):
+            assert ss.optimal_allocation(inst, m_prime=m_prime) == \
+                flow_allocation(inst, m_prime)
+
+
+@pytest.mark.parametrize("positions", [[1.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
+def test_fixed_count_exact_tie(positions):
+    # at two vehicles several splits cost exactly the same; which one is
+    # returned is the solver's choice, its miles are not
+    inst = ss.line_instance(positions, 0.0)
+    alloc = ss.optimal_allocation(inst, m_prime=2)
+    assert alloc.m_prime == 2
+    assert sorted(u for veh in alloc.vehicles for u in veh) == list(range(1, inst.n + 1))
+    assert all(list(veh) == sorted(veh) for veh in alloc.vehicles)
+    assert alloc.total_miles == flow_allocation(inst, 2).total_miles == \
+        best_with_count(inst, 2)
+
+
+def test_fixed_count_rejects_bad_count():
+    inst = line_example()
+    for m_prime in (0, 4):
+        with pytest.raises(MalformedInputError, match="out of range 1..3"):
+            ss.optimal_allocation(inst, m_prime=m_prime)
+
+
+def solved_matching(legs):
+    # eight riders, three legs: matched and free rows and columns all occur
+    inst = random_euclidean_instance(np.random.default_rng(43), 8)
+    matching = allocation._Matching(allocation._chaining_matrix(inst))
+    for _ in range(legs):
+        matching.augment(matching.shortest_path())
+    return matching
+
+
+def _raise_free_column(matching):
+    matching.pot_col[np.flatnonzero(matching.col_match < 0)[-1]] += 100.0
+
+
+def _raise_matched_row(matching):
+    matching.pot_row[np.flatnonzero(matching.row_match >= 0)[0]] += 100.0
+
+
+def _raise_free_row(matching):
+    matching.pot_row[np.flatnonzero(matching.row_match < 0)[0]] += 100.0
+
+
+def _raise_sink(matching):
+    matching.pot_sink += 100.0
+
+
+def _lower_sink(matching):
+    matching.pot_sink -= 100.0
+
+
+def _drop_column_match(matching):
+    row_match = matching.row_match
+    matching.col_match[row_match[np.flatnonzero(row_match >= 0)[0]]] = -1
+
+
+def _swap_legs(matching):
+    row_match, col_match = matching.row_match, matching.col_match
+    a, b = np.flatnonzero(row_match >= 0)[:2]
+    row_match[a], row_match[b] = row_match[b], row_match[a]
+    col_match[row_match[a]], col_match[row_match[b]] = a, b
+
+
+@pytest.mark.parametrize("tamper, condition", [
+    (_raise_free_column, "nonnegative reduced leg costs"),
+    (_raise_matched_row, "tight matched legs"),
+    (_swap_legs, "tight matched legs"),
+    (_raise_free_row, "nonnegative source edges"),
+    (_raise_sink, "nonnegative sink edges"),
+    (_lower_sink, "nonnegative sink edges"),
+    (_drop_column_match, "a matching"),
+])
+def test_certificate_rejects_tampering(tamper, condition):
+    matching = solved_matching(3)
+    matching.certify(1e-9)
+    tamper(matching)
+    with pytest.raises(FlowExtractionError, match=condition):
+        matching.certify(1e-9)
+
+
+def test_certificate_runs_on_every_result(monkeypatch):
+    def refuse(self, tol):
+        raise FlowExtractionError("certificate consulted")
+
+    monkeypatch.setattr(allocation._Matching, "certify", refuse)
+    inst = line_example()
+    for m_prime in (None, 1, 2, 3):
+        with pytest.raises(FlowExtractionError, match="consulted"):
+            ss.optimal_allocation(inst, m_prime=m_prime)
+
+
+def test_sweep_is_cheapest_fixed_count_on_rounding_ties():
+    # decimal positions on a line: many vehicle counts tie on paper, and
+    # their folded miles differ in the last bits, so paths of length about
+    # 0 decide the count; the sweep must still pick the cheapest fold,
+    # fewer vehicles winning exact ties
+    rng = np.random.default_rng(53)
+    cases = [[0.9, 0.6, 0.9]] + [
+        (rng.integers(-9, 10, size=int(rng.integers(2, 7))) / 10).tolist() for _ in range(300)
+    ]
+    for positions in cases:
+        inst = ss.line_instance(positions, 0.0)
+        reference = None
+        for m_prime in range(1, inst.n + 1):
+            alloc = ss.optimal_allocation(inst, m_prime=m_prime)
+            if reference is None or alloc.total_miles < reference.total_miles:
+                reference = alloc
+        assert ss.optimal_allocation(inst) == reference
+
+
+def test_flow_finishes_on_rounding_ties():
+    # rounding leaves some reduced costs a hair below 0 here; reopening
+    # settled nodes once closed a loop in the flow's path pointers at m'=5
+    inst = ss.line_instance([-0.6, 0.0, -0.5, -0.9, 0.5, -0.8, -0.4], 0.0)
+    assert ss.optimal_allocation(inst).total_miles == pytest.approx(
+        ss.brute_force_allocation(inst).total_miles, rel=1e-12)
+    for m_prime in range(1, inst.n + 1):
+        flow = flow_allocation(inst, m_prime)
+        fast = ss.optimal_allocation(inst, m_prime=m_prime)
+        assert flow.m_prime == fast.m_prime == m_prime
+        assert flow.total_miles == pytest.approx(fast.total_miles, rel=1e-12)

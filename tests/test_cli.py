@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import sirshare as ss
 from sirshare.cli import main
+
+from corpus import random_euclidean_instance
 
 
 def run_cli(capsys, *argv):
@@ -269,3 +272,53 @@ def test_bad_input_exits_one_with_error(env, argv, lb_instance, lb4_instance, ca
 def test_lower_bound_reverse_route_is_infeasible(lb4_instance, capsys):
     code, _, _ = run_cli(capsys, "check-route", lb4_instance, "--route", "4,3,2,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["1e-9", "0"])
+@pytest.mark.parametrize("m_prime", [None, 1, 3, 6, 7])
+def test_allocate_cli_matches_library(m_prime, tolerance, tmp_path, capsys):
+    # at tolerance 0 the result is certified within the solver's rounding
+    path = tmp_path / "alloc.json"
+    random_euclidean_instance(np.random.default_rng(47), 6).save(path)
+    argv = ["allocate", str(path), "--json", "--tolerance", tolerance]
+    if m_prime is not None:
+        argv += ["--m-prime", str(m_prime)]
+    code, out, err = run_cli(capsys, *argv)
+    if m_prime == 7:
+        assert code == 1
+        assert err == "error: vehicle guess 7 out of range 1..6\n"
+        return
+    lib = ss.optimal_allocation(ss.Instance.load(path), m_prime=m_prime)  # default tolerance
+    assert code == 0
+    assert json.loads(out) == {
+        "vehicles": [list(v) for v in lib.vehicles],
+        "m_prime": lib.m_prime,
+        "total_miles": float(f"{lib.total_miles:.12g}"),
+    }
+
+
+def test_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
+    # a planted triangle violation keeps the report non-trivial
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps({"n": 2, "dropoff_mode": "single", "distance_matrix": d.tolist(),
+                                "alpha_op": 1.0, "alphas": [1.0, 1.0], "regime": "finite",
+                                "metric_flag": True}))
+    real = ss.instances.validate_metric
+    calls = []
+
+    def counted(table, rel_tol=ss.numeric.DEFAULT_REL_TOL):
+        calls.append(rel_tol)
+        return real(table, rel_tol)
+
+    monkeypatch.setattr(ss.instances, "validate_metric", counted)
+    for extra, expected_calls in (([], [1e-9]), (["--tolerance", "0"], [1e-9, 0.0])):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "validate", str(path), "--json", *extra)
+        assert code == 2  # declared metric, but it is not
+        assert calls == expected_calls
+        rel = expected_calls[-1]
+        assert json.loads(out)["violations"] == [
+            {"kind": v.kind, "indices": list(v.indices), "excess": v.excess}
+            for v in real(d, rel).violations
+        ]

@@ -371,3 +371,28 @@ def test_entry_points_reject_bad_tolerance(check, rel):
     assert ss.sir_feasible(inst, route).feasible
     with pytest.raises(MalformedInputError, match="relative tolerance"):
         check(inst, route, rel)
+
+
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("check", [
+    lambda inst, route, table, rel: ss.is_sir(inst, route, table, rel=rel),
+    lambda inst, route, table, rel: ss.is_ir(inst, route, table, rel=rel),
+    lambda inst, route, table, rel: ss.reverse_meter(inst, route, table, rel=rel),
+    lambda inst, route, table, rel: ss.benefit_breakdown(inst, route, table, rel=rel),
+    lambda inst, route, table, rel: ss.xc_table(inst, route, rel=rel),
+    lambda inst, route, table, rel: ss.beta_fair_table(inst, route, [0.5], rel=rel),
+    lambda inst, route, table, rel: ss.verify_fairness_ratios(inst, route, table, [0.5], rel=rel),
+    lambda inst, route, table, rel: ss.extract_allocation(
+        ss.build_network(inst, 1), ss.min_cost_max_flow(ss.build_network(inst, 1)), rel=rel),
+    lambda inst, route, table, rel: ss.optimal_allocation(inst, rel=rel),
+], ids=["is_sir", "is_ir", "reverse_meter", "benefit_breakdown", "xc_table",
+        "beta_fair_table", "verify_fairness_ratios", "extract_allocation",
+        "optimal_allocation"])
+def test_table_checkers_reject_bad_tolerance(check, rel):
+    inst = n2_instance()
+    route = ss.Route.single_dropoff((1, 2))
+    overpriced = ss.CostShareTable(shares=((10.0,), (4.0, 7.0)))  # balanced, not SIR
+    assert not ss.is_sir(inst, route, overpriced)[0]
+    check(inst, route, overpriced, 1e-9)  # the same call runs at a usable tolerance
+    with pytest.raises(MalformedInputError, match="relative tolerance"):
+        check(inst, route, overpriced, rel)
