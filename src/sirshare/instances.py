@@ -373,6 +373,25 @@ class Route:
         events += tuple((DROPOFF, r) for r in range(1, len(order) + 1))
         return cls(events=events)
 
+    @classmethod
+    def _single_dropoff_batch(cls, orders: Iterable[tuple[int, ...]],
+                              n: int) -> tuple["Route", ...]:
+        """``single_dropoff`` of many orders, each a tuple of ints permuting 1..n.
+
+        The orders are trusted, so the routes skip ``__init__``: they share one
+        pickup event per label and one dropoff tail, and each order doubles as
+        its route's ``pickup_order``.
+        """
+        pickups = [(PICKUP, p) for p in range(n + 1)]
+        tail = tuple((DROPOFF, r) for r in range(1, n + 1))
+        routes = []
+        for order in orders:
+            route = object.__new__(cls)
+            route.__dict__.update(events=tuple(map(pickups.__getitem__, order)) + tail,
+                                  pickup_order=order)
+            routes.append(route)
+        return tuple(routes)
+
     @cached_property
     def pickup_order(self) -> tuple[int, ...]:
         return tuple(idx for kind, idx in self.events if kind == PICKUP)

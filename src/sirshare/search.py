@@ -1,14 +1,22 @@
-"""Enumeration and optimization over feasible single-dropoff routes.
+"""Exact search over feasible single-dropoff routes.
 
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
 once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies).
-One depth-first engine walks the boarding orders in lexicographic pickup
-order for every search question, with two cuts: a prefix that fails its
-last stage never extends to a feasible route, and a prefix whose partial
-distance already reaches the caller's bound cannot beat it (the remaining
-legs are nonnegative). The search is exhaustive (the problem is hard in
-general); the line metric with equal rates is the polynomial special case.
+The problem is NP-hard in general (``reduce_hampath``), so the searches are
+exponential; the line metric with equal rates is the polynomial special case.
+
+- ``opt_sir_route`` is a dynamic program over (set of boarded pickups, last
+  pickup), the recursion of Bellman (1962) and Held & Karp (1962).
+- ``starvation.min_route_starvation`` is its backward counterpart over (set
+  of riders still to board, first of them).
+- ``enumerate_sir_routes`` must list every feasible order, so it walks the
+  boarding orders depth first in lexicographic pickup order and cuts a
+  prefix as soon as its last stage fails.
+
+The optimum and the listing fold a route's distance the same way (hops left
+to right, then the last rider's direct distance), and all three break exact
+ties towards the lexicographically smallest pickup sequence.
 """
 
 from __future__ import annotations
@@ -61,50 +69,58 @@ def _stage_table(instance: Instance, rel: float) -> list[list[list[bool]]]:
 
 
 def _search(instance: Instance, rel: float, cap: int,
-            visit: Callable[[tuple[int, ...], float], float | None]) -> SearchStats:
+            visit: Callable[[tuple[int, ...], float], object]) -> SearchStats:
     """Walk the feasible boarding orders in lexicographic pickup order.
 
     ``visit(order, distance)`` sees each feasible complete order with its
     total distance (hops left to right, then the last rider's direct trip).
-    If it returns a distance, the rest of the walk cuts every prefix whose
-    partial distance already reaches it.
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
     rows = instance.rows
     ok = _stage_table(instance, rel)
+    labels = range(1, n + 1)
+    direct = [0.0] + [instance.direct_distance(p) for p in labels]
+    start = ([True] * (n + 1), [0.0] * n)  # any pickup boards first, with no hop
     nodes = prunes = 0
-    bound = None
 
     order: list[int] = []
     used = [False] * (n + 1)
 
-    def dfs(partial_dist: float) -> None:
-        nonlocal nodes, prunes, bound
-        if bound is not None and partial_dist >= bound:
-            return
+    def dfs(last: int, partial_dist: float) -> None:
+        nonlocal nodes, prunes
         nodes += 1
         depth = len(order)
         if depth == n:
-            cut = visit(tuple(order), partial_dist + instance.direct_distance(order[-1]))
-            if cut is not None:
-                bound = cut
+            visit(tuple(order), partial_dist + direct[last])
             return
-        for label in range(1, n + 1):
+        allowed, row = (ok[depth + 1][last], rows[last - 1]) if depth else start
+        for label in labels:
             if used[label]:
                 continue
-            if depth > 0 and not ok[depth + 1][order[-1]][label]:
+            if not allowed[label]:
                 prunes += 1
                 continue
             used[label] = True
             order.append(label)
-            hop = 0.0 if depth == 0 else rows[order[-2] - 1][label - 1]
-            dfs(partial_dist + hop)
+            dfs(label, partial_dist + row[label - 1])
             order.pop()
             used[label] = False
 
-    dfs(0.0)
+    dfs(0, 0.0)
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
+
+
+def _rounding_slack(instance: Instance) -> float:
+    """A distance gap that no n further roundings can close.
+
+    Every partial sum of a route is below T = n * (largest table entry), and
+    each addition or division rounds by at most 2**-53 of its result, so
+    after n more steps two values that started more than 2(n+1)·2**-53·T
+    apart still compare the same way. This returns 16 times that bound.
+    """
+    n = instance.n
+    return n * (n + 1) * max(map(max, instance.rows)) * 2.0 ** -48
 
 
 def enumerate_sir_routes(instance: Instance, limit: int | None = None,
@@ -113,46 +129,99 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
     """All feasible boarding orders, in lexicographic pickup order.
 
     ``limit`` truncates the returned route list (the minimum-distance route
-    is still taken over everything enumerated).
+    is still taken over everything enumerated). The walk expands each
+    feasible prefix once, and each listed order costs one tuple
+    concatenation (``Route._single_dropoff_batch``).
     """
-    routes: list[Route] = []
+    orders: list[tuple[int, ...]] = []
     found = 0
     best: tuple[tuple[int, ...], float] | None = None
 
     def visit(order: tuple[int, ...], dist: float) -> None:
         nonlocal found, best
         found += 1
-        if limit is None or len(routes) < limit:
-            routes.append(Route.single_dropoff(order))
+        if limit is None or len(orders) < limit:
+            orders.append(order)
         if best is None or dist < best[1]:
             best = (order, dist)
 
     stats = _search(instance, rel, cap, visit)
     return SearchResult(
-        routes=tuple(routes),
+        routes=Route._single_dropoff_batch(orders, instance.n),
         optimal=None if best is None else (Route.single_dropoff(best[0]), best[1]),
         stats=stats,
-        truncated=limit is not None and found > len(routes),
+        truncated=limit is not None and found > len(orders),
     )
+
+
+def _keep(labels: list[tuple[float, tuple[int, ...]]], dist: float,
+          order: tuple[int, ...], slack: float) -> None:
+    """Add the prefix ``(dist, order)`` to a state's labels unless a kept one
+    beats it, and drop the kept ones it beats. A prefix beats another when it
+    is no longer and has the smaller order, or is shorter by more than
+    ``slack``."""
+    for d, o in labels:
+        if d + slack < dist or (d <= dist and o < order):
+            return
+    if labels:
+        labels[:] = [(d, o) for d, o in labels
+                     if not (dist + slack < d or (dist <= d and order < o))]
+    labels.append((dist, order))
 
 
 def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
                   rel: float = DEFAULT_REL_TOL):
     """Minimum-total-distance feasible route, or None if none exists.
 
-    Branch and bound: the incumbent's distance bounds the rest of the walk.
-    Exact ties keep the lexicographically smallest pickup sequence.
+    Forward dynamic program over (set of boarded pickups, last pickup): the
+    Bellman--Held--Karp recursion, O(2**n * n**2) time over O(2**n * n)
+    states, each holding its best prefixes as (partial distance, order), so
+    the orders take O(2**n * n**2) memory.
+    Distances fold as the walk folds them: hops left to right, then the
+    last rider's direct distance.
+
+    Exact ties keep the lexicographically smallest pickup sequence, even
+    where rounding makes two different partial distances end in the same
+    total: a state keeps a longer prefix beside a shorter one while its
+    order is smaller and the gap is within ``_rounding_slack``, which no
+    later rounding can close. Such near-ties are rare, so a state almost
+    always holds one prefix.
     """
-    best: tuple[tuple[int, ...], float] | None = None
-
-    def visit(order: tuple[int, ...], dist: float) -> float:
-        nonlocal best
-        if best is None or dist < best[1]:
-            best = (order, dist)
-        return best[1]
-
-    _search(instance, rel, cap, visit)
-    return None if best is None else (Route.single_dropoff(best[0]), best[1])
+    _check_searchable(instance, cap, rel)
+    n = instance.n
+    rows = instance.rows
+    ok = _stage_table(instance, rel)
+    slack = _rounding_slack(instance)
+    full = (1 << n) - 1
+    # states[mask][last]: labels of the feasible orders of ``mask`` ending at ``last``
+    states: list[dict[int, list] | None] = [None] * (full + 1)
+    for p in range(1, n + 1):
+        states[1 << (p - 1)] = {p: [(0.0, (p,))]}
+    for mask in range(1, full):
+        here = states[mask]
+        if here is None:
+            continue
+        states[mask] = None  # every successor is a larger mask
+        stage = ok[mask.bit_count() + 1]
+        for last, labels in here.items():
+            row, allowed = rows[last - 1], stage[last]
+            for b in range(1, n + 1):
+                bit = 1 << (b - 1)
+                if mask & bit or not allowed[b]:
+                    continue
+                succ = states[mask | bit]
+                if succ is None:
+                    succ = states[mask | bit] = {}
+                into = succ.setdefault(b, [])
+                hop = row[b - 1]
+                for dist, order in labels:
+                    _keep(into, dist + hop, order + (b,), slack)
+    ends = states[full]
+    if not ends:
+        return None
+    dist, order = min((d + instance.direct_distance(last), o)
+                      for last, labels in ends.items() for d, o in labels)
+    return Route.single_dropoff(order), dist
 
 
 def line_metric_verdict(positions: Sequence[float], dropoff: float):

@@ -17,7 +17,7 @@ from .errors import DegenerateDistanceError, UnsupportedModeError
 from .feasibility import sir_feasible
 from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
 from .numeric import DEFAULT_REL_TOL, check_tolerance
-from .search import DEFAULT_CAP, _search
+from .search import DEFAULT_CAP, _check_searchable, _rounding_slack, _search, _stage_table
 
 
 @dataclass(frozen=True)
@@ -87,24 +87,104 @@ def starvation_report(instance: Instance, route: Route,
     )
 
 
+def _keep(labels: list[tuple[float, float, tuple[int, ...]]], dist: float,
+          factor: float, order: tuple[int, ...], slack: float) -> None:
+    """Add the suffix ``(dist, factor, order)`` to a state's labels unless a
+    kept one beats it, and drop the kept ones it beats. A suffix beats
+    another when it is no longer, starves no more and has the smaller order,
+    or when it starves less and is shorter by more than ``slack``."""
+    for d, f, o in labels:
+        if f <= factor and (d <= dist and o < order or f < factor and d + slack < dist):
+            return
+    if labels:
+        labels[:] = [(d, f, o) for d, f, o in labels
+                     if not (factor <= f and (dist <= d and order < o
+                                              or factor < f and dist + slack < d))]
+    labels.append((dist, factor, order))
+
+
 def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                          rel: float = DEFAULT_REL_TOL):
     """Feasible route with the smallest starvation factor, or None.
 
-    Exhaustive over feasible boarding orders (which is why the size cap
-    exists); exact ties keep the lexicographically smallest pickup sequence.
+    A rider's factor depends only on the route from their pickup on, so this
+    is a backward dynamic program over (set of riders boarding last, the
+    first of them), restricted to the states that some feasible prefix can
+    reach: O(2**n * n) states, and O(2**n * n**2) time times the labels a
+    state keeps. Each label is (suffix distance, largest factor, suffix
+    order); the suffix distance folds as ``_per_passenger_factors`` folds
+    it, from the last rider's direct distance backwards, so the factor is
+    bit for bit the one ``starvation_report`` gives.
+
+    Exact ties keep the lexicographically smallest pickup sequence. A label
+    is dropped when another is no longer, starves no more and has the
+    smaller order, or starves less and is shorter by more than
+    ``search._rounding_slack``: either way no prefix can make the dropped
+    label win. A state keeps one label per (distance, factor) trade-off and
+    per rounding near-tie; on path-TSP tables that is one label.
+
+    A rider whose pickup is the dropoff has no factor: the lexicographically
+    first feasible order reports the first such rider on it.
     """
-    best, best_gamma = None, math.inf
+    _check_searchable(instance, cap, rel)
+    n = instance.n
+    direct = [0.0] + [instance.direct_distance(p) for p in range(1, n + 1)]
+    if min(direct[1:]) <= 0.0:
+        _search(instance, rel, cap,
+                lambda order, dist: _per_passenger_factors(instance, order))
+        return None
+    rows = instance.rows
+    ok = _stage_table(instance, rel)
+    slack = _rounding_slack(instance)
+    full = (1 << n) - 1
+    # enters[j][b]: the pickups a after which b may board j-th, as a bitmask
+    enters = [[sum(1 << (a - 1) for a in range(1, n + 1) if ok[j][a][b])
+               for b in range(n + 1)] for j in range(n + 1)]
+    # ends[mask]: the pickups that can board last in a feasible order of mask
+    ends = [0] * (full + 1)
+    for p in range(1, n + 1):
+        ends[1 << (p - 1)] = 1 << (p - 1)
+    for mask in range(1, full):
+        if ends[mask]:
+            stage = enters[mask.bit_count() + 1]
+            for b in range(1, n + 1):
+                if not mask >> (b - 1) & 1 and ends[mask] & stage[b]:
+                    ends[mask | 1 << (b - 1)] |= 1 << (b - 1)
+    if not ends[full]:
+        return None
 
-    def visit(order: tuple[int, ...], dist: float) -> None:
-        nonlocal best, best_gamma
-        gamma = max(_per_passenger_factors(instance, order))
-        if gamma < best_gamma:
-            best = order
-            best_gamma = gamma
+    def reachable(suffix: int, first: int) -> bool:
+        return suffix == full or bool(
+            ends[full ^ suffix] & enters[n - suffix.bit_count() + 1][first])
 
-    _search(instance, rel, cap, visit)
-    return None if best is None else (Route.single_dropoff(best), best_gamma)
+    # states[suffix][first]: labels of the feasible orders of ``suffix`` starting at ``first``
+    states: list[dict[int, list] | None] = [None] * (full + 1)
+    for f in range(1, n + 1):
+        if reachable(1 << (f - 1), f):
+            states[1 << (f - 1)] = {f: [(direct[f], 1.0, (f,))]}
+    for suffix in range(1, full):
+        here = states[suffix]
+        if here is None:
+            continue
+        states[suffix] = None  # every predecessor is a larger set
+        j = n - suffix.bit_count() + 1  # the stage at which ``first`` boards
+        for first, labels in here.items():
+            for p in range(1, n + 1):
+                bit = 1 << (p - 1)
+                wider = suffix | bit
+                if suffix & bit or not ok[j][p][first] or not reachable(wider, p):
+                    continue
+                prev = states[wider]
+                if prev is None:
+                    prev = states[wider] = {}
+                into = prev.setdefault(p, [])
+                hop, own = rows[p - 1][first - 1], direct[p]
+                for dist, factor, order in labels:
+                    dist += hop
+                    mine = dist / own
+                    _keep(into, dist, mine if mine > factor else factor, (p,) + order, slack)
+    factor, order = min((f, o) for labels in states[full].values() for _, f, o in labels)
+    return Route.single_dropoff(order), factor
 
 
 def lower_bound_value(n: int, alpha_op: float, alphas: Sequence[float]) -> float:

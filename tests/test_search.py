@@ -105,6 +105,15 @@ def test_enumerate_lexicographic_and_limit():
     assert cut.optimal is not None  # optimal still over everything found
 
 
+def test_enumerate_routes_equal_single_dropoff_routes():
+    inst = ss.reduce_hampath(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    routes = ss.enumerate_sir_routes(inst).routes
+    expected = tuple(ss.Route.single_dropoff(p) for p in itertools.permutations(range(1, 5)))
+    assert routes == expected
+    assert [hash(r) for r in routes] == [hash(r) for r in expected]
+    assert [r.to_tokens() for r in routes] == [r.to_tokens() for r in expected]
+
+
 def test_enumerate_cap_and_override():
     inst = ss.line_instance(list(range(1, 12)), 0.0)
     with pytest.raises(SizeError):
@@ -183,6 +192,79 @@ def test_opt_route_agrees_with_enumeration_min():
         else:
             assert best[1] == pytest.approx(result.optimal[1], rel=1e-12)
             assert best[0] == result.optimal[0]
+
+
+# ---------------------------------------------------------------------------
+# opt_sir_route and min_route_starvation against a permutation scan
+# ---------------------------------------------------------------------------
+
+def scan_optima(instance, rel):
+    """(shortest, least starved) feasible route with its value, or None each.
+
+    Scans every boarding order with ``sir_feasible`` and folds distances on
+    its own: the route's length adds the hops left to right, then the last
+    rider's direct distance; a rider's travel adds the hops backwards from
+    the last rider's direct distance. Ties go to the first order scanned,
+    which is the lexicographically smallest."""
+    rows = instance.rows
+    shortest = least_starved = None
+    for order in itertools.permutations(range(1, instance.n + 1)):
+        route = ss.Route.single_dropoff(order)
+        if not ss.sir_feasible(instance, route, rel=rel).feasible:
+            continue
+        length = 0.0
+        for a, b in zip(order, order[1:]):
+            length += rows[a - 1][b - 1]
+        length += instance.direct_distance(order[-1])
+        travel = instance.direct_distance(order[-1])
+        gamma = 1.0
+        for a, b in zip(order[-2::-1], order[::-1]):
+            travel += rows[a - 1][b - 1]
+            gamma = max(gamma, travel / instance.direct_distance(a))
+        if shortest is None or length < shortest[1]:
+            shortest = (route, length)
+        if least_starved is None or gamma < least_starved[1]:
+            least_starved = (route, gamma)
+    return shortest, least_starved
+
+
+def _oracle_corpus():
+    rng = np.random.default_rng(71)
+    for n in range(2, 8):
+        for _ in range(2):
+            yield f"path-tsp n={n}", ss.reduce_path_tsp(
+                ss.from_euclidean(rng.uniform(0.0, 10.0, size=(n, 2)).tolist()))
+    for n in range(3, 8):
+        # decimal coordinates on a 0.1 grid: many equal lengths, some equal
+        # only after rounding
+        for dim in (1, 2):
+            points = (rng.integers(0, 20, size=(n, dim)) * 0.1).tolist()
+            yield f"grid{dim}d n={n}", ss.reduce_path_tsp(ss.from_euclidean(points))
+    # the prefix (3,4,2) is a few ulps longer than (4,3,2), yet (3,4,2,1,5)
+    # and (4,3,2,1,5) have the same length, so the smaller order must win
+    yield "grid2d collision", ss.reduce_path_tsp(ss.from_euclidean(
+        (np.array([[11, 7], [9, 10], [7, 10], [9, 12], [10, 6]]) * 0.1).tolist()))
+    for n in range(3, 7):  # all pairwise distances equal: every order ties
+        yield f"uniform n={n}", ss.reduce_path_tsp(1.0 - np.eye(n))
+    # zero weights: (1,2,3,4) and the shorter (1,4,3,2) both starve by
+    # exactly 3, through their second rider
+    yield "equal factors", ss.Instance(
+        dist=ss.from_euclidean([(5, 10), (3, 8), (4, 9), (5, 8), (4, 7)]), n=4,
+        dropoff_mode="single", alpha_op=1.0, alphas=(0.0,) * 4, regime="zero")
+    for n in range(3, 8):
+        yield f"hampath n={n}", ss.reduce_hampath(*random_graph(rng, n, 0.6))
+    for n in range(2, 8):
+        yield f"lower-bound n={n}", ss.generate_lower_bound_instance(n)
+        yield f"sqrt-tight n={n}", ss.generate_sqrt_tight_instance(n)
+        yield f"exp-tight n={n}", ss.generate_exp_tight_instance(n)
+
+
+@pytest.mark.parametrize("rel", [DEFAULT_REL_TOL, 0.0], ids=["default", "exact"])
+def test_optima_match_permutation_scan(rel):
+    for name, inst in _oracle_corpus():
+        shortest, least_starved = scan_optima(inst, rel)
+        assert ss.opt_sir_route(inst, rel=rel) == shortest, name
+        assert ss.min_route_starvation(inst, rel=rel) == least_starved, name
 
 
 # ---------------------------------------------------------------------------

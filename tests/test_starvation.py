@@ -97,6 +97,19 @@ def test_min_route_infeasible_marker():
     assert ss.min_route_starvation(inst) is None
 
 
+@pytest.mark.parametrize("positions, rider", [([0.0, 2.0], 2), ([2.0, 0.0, 3.0], 3)])
+def test_min_route_pickup_on_dropoff_raises(positions, rider):
+    # the first feasible order in pickup order names its degenerate rider
+    inst = ss.line_instance(positions, 0.0)
+    with pytest.raises(DegenerateDistanceError) as err:
+        ss.min_route_starvation(inst)
+    assert str(err.value) == f"rider {rider} boards at the dropoff; starvation factor undefined"
+
+
+def test_min_route_pickup_on_dropoff_without_feasible_route():
+    assert ss.min_route_starvation(ss.line_instance([-1.0, 0.0, 1.0], 0.0)) is None
+
+
 def test_min_route_size_cap_and_override():
     inst = ss.line_instance(list(range(1, 13)), 0.0)
     with pytest.raises(SizeError):
