@@ -25,7 +25,6 @@ from .feasibility import (
     CostShareTable,
     DisutilityTrace,
     _balanced_costs,
-    _single_dropoff_stage,
     disutility_trace,
     sir_feasible,
     stage_costs,
@@ -96,18 +95,17 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     _balanced_costs(instance, route, table, rel)
     order = route.pickup_order
     aop = instance.alpha_op
+    alphas = instance.alphas
+    detour = instance._stage_tables[0]
+    shares = table.shares
     ibs = []
     tibs = []
     for j in range(2, instance.n + 1):
-        det, _ = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
+        det = detour[order[j - 2]][order[j - 1]]
         fare = aop * instance.direct_distance(order[j - 1])
-        row = []
-        for i in range(1, j):
-            row.append(
-                table.value(i, j - 1) - table.value(i, j)
-                - instance.alphas[i - 1] * det
-            )
-        row.append(fare - table.value(j, j))
+        before, after = shares[j - 2], shares[j - 1]
+        row = [before[i] - after[i] - alphas[i] * det for i in range(j - 1)]
+        row.append(fare - after[j - 1])
         ibs.append(tuple(row))
         tibs.append(fare - (aop + instance.alpha_prefix[j - 1]) * det)
     return BenefitBreakdown(ib=tuple(ibs), tib=tuple(tibs))
@@ -136,6 +134,8 @@ def beta_fair_table(instance: Instance, route: Route,
         )
     order = route.pickup_order
     aop = instance.alpha_op
+    alphas = instance.alphas
+    detour = instance._stage_tables[0]
     rows: list[list[float]] = [[aop * instance.direct_distance(order[0])]]
     for j in range(2, n + 1):
         weight_sum = instance.alpha_prefix[j - 1]
@@ -144,19 +144,15 @@ def beta_fair_table(instance: Instance, route: Route,
                 f"existing riders carry zero total sensitivity at stage {j}"
             )
         b = betas.for_stage(j)
-        det, _ = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
+        det = detour[order[j - 2]][order[j - 1]]
         sd_j = instance.direct_distance(order[j - 1])
         operator_surplus = aop * sd_j - aop * det
-        prev = rows[-1]
-        row = []
-        for i in range(1, j):
-            alpha_i = instance.alphas[i - 1]
-            discount = (
-                b * (alpha_i / weight_sum) * operator_surplus
-                + (1.0 - b) * alpha_i * det
-            )
-            row.append(prev[i - 1] - discount)
-        incoming = b * aop * sd_j + (1.0 - b) * (aop + weight_sum) * det
+        keep = 1.0 - b
+        row = [
+            share - (b * (alpha_i / weight_sum) * operator_surplus + keep * alpha_i * det)
+            for share, alpha_i in zip(rows[-1], alphas)
+        ]
+        incoming = b * aop * sd_j + keep * (aop + weight_sum) * det
         row.append(incoming)
         rows.append(row)
     return CostShareTable(shares=tuple(tuple(r) for r in rows))
@@ -170,6 +166,11 @@ def xc_table(instance: Instance, route: Route,
     it; every rider compensates those who boarded earlier for the detour
     their own pickup caused, and is compensated by later arrivals in turn.
     Requires every sensitivity to equal the operator rate (any common scale).
+
+    O(n**2): rider i's segment and compensation sums over the boardings
+    i+1..j are running sums carried from stage j-1 to stage j, each started
+    at int 0 and folded left to right, as ``sum`` folds them on CPython
+    before 3.12.
     """
     check_tolerance(rel)
     _require_single(instance, "segment-split table")
@@ -183,23 +184,28 @@ def xc_table(instance: Instance, route: Route,
             )
     order = route.pickup_order
     n = instance.n
-    seg = [0.0] * (n + 1)  # seg[k] = distance between pickups k-1 and k
-    det = [0.0] * (n + 1)
-    for k in range(2, n + 1):
-        seg[k] = instance.pickup_distance(order[k - 2], order[k - 1])
-        det[k] = _single_dropoff_stage(instance, order[k - 2], order[k - 1], k)[0]
+    rows, detour = instance.rows, instance._stage_tables[0]
+    det = [0.0, 0.0] + [detour[a][b] for a, b in zip(order, order[1:])]
     sd = [0.0] + [instance.direct_distance(p) for p in order]
+    paid_to_earlier = [(i - 1) * det[i] for i in range(n + 1)]
 
-    shares: list[list[float]] = []
+    # segments[i] = seg(i+1)/i + ... + seg(j)/(j-1) and received[i] = det(i+1)
+    # + ... + det(j) at stage j, where seg(k) is the hop from pickup k-1 to k
+    segments = [0] * (n + 1)
+    received = [0] * (n + 1)
+    shares = []
     for j in range(1, n + 1):
-        row = []
-        for i in range(1, j + 1):
-            segments = sum(seg[k] / (k - 1) for k in range(i + 1, j + 1)) + sd[j] / j
-            paid_to_earlier = (i - 1) * det[i]
-            received_from_later = sum(det[k] for k in range(i + 1, j + 1))
-            row.append(aop * (segments + paid_to_earlier - received_from_later))
-        shares.append(row)
-    return CostShareTable(shares=tuple(tuple(r) for r in shares))
+        if j > 1:
+            split = rows[order[j - 2] - 1][order[j - 1] - 1] / (j - 1)
+            for i in range(1, j):
+                segments[i] += split
+                received[i] += det[j]
+        tail = sd[j] / j
+        shares.append(tuple([
+            aop * (segments[i] + tail + paid_to_earlier[i] - received[i])
+            for i in range(1, j + 1)
+        ]))
+    return CostShareTable(shares=tuple(shares))
 
 
 def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTable,
@@ -214,6 +220,7 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     _require_single(instance, "fairness verification")
     betas = BetaVector.of(betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
+    alphas = instance.alphas
     residuals = []
     ok = True
     for j in range(2, instance.n + 1):
@@ -225,11 +232,12 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
             )
         b = betas.for_stage(j)
         weight_sum = instance.alpha_prefix[j - 1]
+        ib = breakdown.ib[j - 2]
         row = []
         for i in range(1, j + 1):
-            realized = breakdown.ib_value(i, j) / tib
+            realized = ib[i - 1] / tib
             if i < j:
-                target = b * instance.alphas[i - 1] / weight_sum if weight_sum > 0 else 0.0
+                target = b * alphas[i - 1] / weight_sum if weight_sum > 0 else 0.0
             else:
                 target = 1.0 - b
             res = realized - target

@@ -224,15 +224,17 @@ def disutility_trace(instance: Instance, route: Route, table: CostShareTable,
     n = costs.n
     aop = instance.alpha_op
     freeze = last_boarding_before_exit(route)
+    shares = table.shares
     rows = []
     for i in range(1, n + 1):
         base = aop * costs.direct[i]
         row = [base] * (n + 1)
+        ic = costs.ic[i]
         for j in range(i, n + 1):
             # a boarding rank always precedes the rider's own dropoff, so
             # freeze[i-1] >= i and row[freeze] is set before it is needed
             if j <= freeze[i - 1]:
-                row[j] = table.value(i, j) + costs.ic[i][j]
+                row[j] = shares[j - 1][i - 1] + ic[j]
             else:
                 row[j] = row[freeze[i - 1]]
         rows.append(tuple(row))
@@ -280,7 +282,7 @@ def is_sir(instance: Instance, route: Route, table: CostShareTable,
 # Feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageSlack:
     stage: int
     lhs: float
@@ -302,31 +304,13 @@ class FeasibilityResult:
         return tuple(s.slack for s in self.stages)
 
 
-def _single_dropoff_stage(instance: Instance, a: int, b: int, j: int) -> tuple[float, float]:
-    """(detour, budget) when the j-th rider boards at pickup b right after pickup a.
-
-    Detour d(a,b) + d(b,D) - d(a,D) is what the boarding adds for everyone
-    aboard; the budget d(b,D) / (1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op)
-    is all of d(b,D) when the weights vanish and zero when they dominate.
-    """
-    direct = instance.direct_distance(b)
-    detour = instance.rows[a - 1][b - 1] + direct - instance.direct_distance(a)
-    if instance.regime == REGIME_ZERO:
-        return detour, direct
-    if instance.regime == REGIME_INFINITE:
-        return detour, 0.0
-    return detour, direct / (1.0 + instance.alpha_prefix[j - 1] / instance.alpha_op)
-
-
 def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...]:
     """Extra distance each boarding adds for everyone aboard, stages 2..n."""
     if instance.dropoff_mode != SINGLE:
         raise MalformedInputError("detour sequence is defined for single-dropoff routes")
     order = route.pickup_order
-    return tuple(
-        _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)[0]
-        for j in range(2, len(order) + 1)
-    )
+    detour = instance._stage_tables[0]
+    return tuple(detour[a][b] for a, b in zip(order, order[1:]))
 
 
 def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
@@ -334,7 +318,7 @@ def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
     """Decide whether some budget-balanced table is SIR on this route.
 
     For single-dropoff routes each stage's incremental detour is compared
-    against its shrinking budget (``_single_dropoff_stage``). ``general=True``
+    against its shrinking budget (``Instance._stage_tables``). ``general=True``
     forces the stage-cost form that also covers interleaved per-rider
     dropoffs. Stage slacks within tolerance of zero count as feasible. The
     tolerance and route are validated first; the route check is cached per
@@ -347,9 +331,10 @@ def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
 
     if instance.dropoff_mode == SINGLE and not general:
         order = route.pickup_order
+        detour, budget = instance._stage_tables
         for j in range(2, n + 1):
-            detour, budget = _single_dropoff_stage(instance, order[j - 2], order[j - 1], j)
-            stages.append(StageSlack(stage=j, lhs=detour, rhs=budget))
+            a, b = order[j - 2], order[j - 1]
+            stages.append(StageSlack(stage=j, lhs=detour[a][b], rhs=budget[j][b]))
     else:
         costs = stage_costs(instance, route)
         for j in range(2, n + 1):

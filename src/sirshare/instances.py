@@ -280,6 +280,40 @@ class Instance:
         return self._direct[point_label]
 
     @cached_property
+    def _stage_tables(self) -> tuple[list[list[float]], list[list[float]]]:
+        """``(detour, budget)`` of every single-dropoff boarding, by label.
+
+        ``detour[a][b] = d(a,b) + d(b,D) - d(a,D)`` is what a boarding at
+        pickup b right after pickup a adds for everyone aboard. ``budget[j][b]
+        = d(b,D) / (1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op)`` is what the
+        j-th boarding, at pickup b, may add: all of d(b,D) when the weights
+        vanish (``zero``) and 0.0 when they dominate (``infinite``). Index 0
+        is padding. The stage test is ``detour[a][b] <= budget[j][b]``.
+
+        Each entry folds exactly as the per-stage formula does, so a lookup is
+        bit for bit the recomputed value. Readers: ``feasibility.sir_feasible``
+        and ``single_dropoff_detours``, ``search._stage_table`` (and so the
+        route searches), and ``fairness.benefit_breakdown``,
+        ``beta_fair_table`` and ``xc_table``.
+        """
+        n, rows, direct = self.n, self.rows, self._direct
+        detour = [[0.0] * (n + 1)]
+        for a in range(1, n + 1):
+            row, da = rows[a - 1], direct[a]
+            detour.append([0.0] + [row[b - 1] + direct[b] - da for b in range(1, n + 1)])
+        if self.regime == REGIME_ZERO:
+            budget = [list(direct) for _ in range(n + 1)]
+        elif self.regime == REGIME_INFINITE:
+            budget = [[0.0] * (n + 1) for _ in range(n + 1)]
+        else:
+            prefix, aop = self.alpha_prefix, self.alpha_op
+            budget = [[0.0] * (n + 1)]
+            for j in range(1, n + 1):
+                denom = 1.0 + prefix[j - 1] / aop
+                budget.append([d / denom for d in direct])
+        return detour, budget
+
+    @cached_property
     def alpha_prefix(self) -> tuple[float, ...]:
         """alpha_prefix[j] = sum of the first j sensitivities."""
         sums = [0.0]

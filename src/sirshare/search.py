@@ -2,7 +2,8 @@
 
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
-once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies).
+once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies to
+the instance's cached ``_stage_tables``).
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import SizeError, UnsupportedModeError
-from .feasibility import _single_dropoff_stage
 from .instances import SINGLE, Instance, Route
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 
@@ -60,11 +60,14 @@ def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
 def _stage_table(instance: Instance, rel: float) -> list[list[list[bool]]]:
     """``ok[j][a][b]``: may the j-th rider board at pickup b right after pickup a?"""
     n = instance.n
+    detour, budget = instance._stage_tables
+    labels = range(1, n + 1)
     ok = [[[False] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     for j in range(2, n + 1):
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                ok[j][a][b] = approx_leq(*_single_dropoff_stage(instance, a, b, j), rel)
+        cap = budget[j]
+        for a in labels:
+            row = detour[a]
+            ok[j][a] = [False] + [approx_leq(row[b], cap[b], rel) for b in labels]
     return ok
 
 

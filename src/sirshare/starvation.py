@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import DegenerateDistanceError, UnsupportedModeError
 from .feasibility import sir_feasible
 from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
-from .numeric import DEFAULT_REL_TOL, check_tolerance
+from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 from .search import DEFAULT_CAP, _check_searchable, _rounding_slack, _search, _stage_table
 
 
@@ -72,13 +72,13 @@ def starvation_report(instance: Instance, route: Route,
     if feasible:
         n = instance.n
         if instance.regime == REGIME_INFINITE:
-            checks.append(BoundCheck("no_detour", 1.0, gamma <= 1.0 + rel * n + 1e-12))
+            checks.append(BoundCheck("no_detour", 1.0, approx_leq(gamma, 1.0, rel)))
         elif instance.regime == REGIME_ZERO:
             bound = float(2 ** n)
-            checks.append(BoundCheck("exp", bound, gamma <= bound + rel * bound))
+            checks.append(BoundCheck("exp", bound, approx_leq(gamma, bound, rel)))
         elif all(a >= instance.alpha_op for a in instance.alphas):
             bound = 2.0 * math.sqrt(n)
-            checks.append(BoundCheck("sqrt", bound, gamma <= bound + rel * bound))
+            checks.append(BoundCheck("sqrt", bound, approx_leq(gamma, bound, rel)))
     return StarvationReport(
         per_passenger=tuple(factors),
         route_factor=gamma,
