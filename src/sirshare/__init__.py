@@ -3,7 +3,9 @@
 Feasibility of boarding orders under nonincreasing-disutility cost sharing,
 construction of witness and proportionally fair share tables, starvation
 factor bounds, exact route search at desk scale, and polynomial allocation
-of order-constrained riders to vehicles via min-cost max-flow.
+of order-constrained riders to vehicles: one matching pass, checked by a
+dual certificate, with the paper's min-cost flow kept as an independent
+check.
 """
 
 from .allocation import (

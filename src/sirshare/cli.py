@@ -55,7 +55,6 @@ class _Parser(argparse.ArgumentParser):
 def parse_route(tokens: str) -> Route:
     """Parse ``1,2,3`` (single dropoff, implicit) or ``1,2,d2,3,d1,d3``."""
     events = []
-    pickups = 0
     explicit_drops = False
     for raw in tokens.split(","):
         tok = raw.strip()
@@ -72,7 +71,6 @@ def parse_route(tokens: str) -> Route:
                 events.append((PICKUP, int(tok)))
             except ValueError:
                 raise MalformedInputError(f"bad pickup token {tok!r}; expected an integer")
-            pickups += 1
     if not explicit_drops:
         return Route.single_dropoff([idx for _, idx in events])
     return Route(events=tuple(events))
@@ -224,7 +222,7 @@ def cmd_share(args) -> int:
 def cmd_routes(args) -> int:
     inst = Instance.load(args.instance)
     result = search.enumerate_sir_routes(
-        inst, limit=args.limit, cap=args.cap_override or search.DEFAULT_CAP,
+        inst, limit=args.limit, cap=args.cap_override,
         rel=args.tolerance,
     )
     payload = {
@@ -254,7 +252,7 @@ def cmd_routes(args) -> int:
 def cmd_opt_route(args) -> int:
     inst = Instance.load(args.instance)
     best = search.opt_sir_route(
-        inst, cap=args.cap_override or search.DEFAULT_CAP, rel=args.tolerance
+        inst, cap=args.cap_override, rel=args.tolerance
     )
     if best is None:
         if args.json:
@@ -277,7 +275,7 @@ def cmd_starvation(args) -> int:
         gamma = None
     else:
         found = starvation.min_route_starvation(
-            inst, cap=args.cap_override or search.DEFAULT_CAP, rel=args.tolerance
+            inst, cap=args.cap_override, rel=args.tolerance
         )
         if found is None:
             if args.json:
@@ -432,12 +430,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("routes", help="enumerate feasible routes")
     common(p)
     p.add_argument("--limit", type=int, help="truncate the returned route list")
-    p.add_argument("--cap-override", type=int, help="raise the exact-search size cap")
+    p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP,
+                   help="raise the exact-search size cap")
     p.set_defaults(func=cmd_routes)
 
     p = sub.add_parser("opt-route", help="minimum-distance feasible route")
     common(p)
-    p.add_argument("--cap-override", type=int)
+    p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP)
     p.set_defaults(func=cmd_opt_route)
 
     p = sub.add_parser("starvation", help="starvation factor report")
@@ -445,7 +444,7 @@ def build_parser() -> _Parser:
     p.add_argument("--route", help="route to report on; omit to minimize over routes")
     p.add_argument("--check-bounds", action="store_true",
                    help="include regime bound verdicts")
-    p.add_argument("--cap-override", type=int)
+    p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP)
     p.set_defaults(func=cmd_starvation)
 
     p = sub.add_parser("allocate", help="assign riders to vehicles at minimum miles")

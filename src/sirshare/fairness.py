@@ -69,9 +69,6 @@ class BenefitBreakdown:
     ib: tuple[tuple[float, ...], ...]
     tib: tuple[float, ...]
 
-    def ib_value(self, i: int, j: int) -> float:
-        return self.ib[j - 2][i - 1]
-
     def tib_value(self, j: int) -> float:
         return self.tib[j - 2]
 
@@ -226,7 +223,7 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     for j in range(2, instance.n + 1):
         tib = breakdown.tib_value(j)
         fare_scale = instance.alpha_op * instance.direct_distance(route.pickup_order[j - 1])
-        if abs(tib) <= comparison_tolerance(fare_scale, rel or DEFAULT_REL_TOL):
+        if abs(tib) <= comparison_tolerance(fare_scale, rel):
             raise IndeterminateRatioError(
                 f"total incremental benefit is zero at stage {j}; ratios undefined"
             )

@@ -470,17 +470,6 @@ class Route:
         if defect is not None:
             raise MalformedInputError(defect)
 
-    def event_points(self, instance: Instance) -> list[int]:
-        """0-based table index visited by each event, in order."""
-        order = self.pickup_order
-        points = []
-        for kind, idx in self.events:
-            if kind == PICKUP:
-                points.append(idx - 1)
-            else:
-                points.append(instance.dropoff_index(order[idx - 1]))
-        return points
-
     def to_tokens(self) -> str:
         parts = []
         pending_drops = set(range(1, self.n + 1))

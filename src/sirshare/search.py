@@ -2,8 +2,10 @@
 
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
-once (``ok[j][a][b]``, from the stage test that ``sir_feasible`` applies to
-the instance's cached ``_stage_tables``).
+once, from the stage test that ``sir_feasible`` applies to the instance's
+cached ``_stage_tables``: ``ok[j][a]`` is a bitmask of the pickups that may
+board j-th right after pickup a, and each search walks the set bits of
+``ok[j][last]`` that are still free, lowest label first.
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
@@ -57,17 +59,22 @@ def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
         )
 
 
-def _stage_table(instance: Instance, rel: float) -> list[list[list[bool]]]:
-    """``ok[j][a][b]``: may the j-th rider board at pickup b right after pickup a?"""
+def _stage_table(instance: Instance, rel: float) -> list[list[int]]:
+    """``ok[j][a]``: the pickups that may board j-th right after pickup a.
+
+    Bit b-1 of ``ok[j][a]`` is set when pickup b may. ``ok[1][0]`` holds
+    every pickup, because anyone may board first.
+    """
     n = instance.n
     detour, budget = instance._stage_tables
     labels = range(1, n + 1)
-    ok = [[[False] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    ok = [[0] * (n + 1) for _ in range(n + 1)]
+    ok[1][0] = (1 << n) - 1
     for j in range(2, n + 1):
         cap = budget[j]
         for a in labels:
             row = detour[a]
-            ok[j][a] = [False] + [approx_leq(row[b], cap[b], rel) for b in labels]
+            ok[j][a] = sum(1 << (b - 1) for b in labels if approx_leq(row[b], cap[b], rel))
     return ok
 
 
@@ -80,37 +87,30 @@ def _search(instance: Instance, rel: float, cap: int,
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
-    rows = instance.rows
+    hops = [[0.0] * n] + instance.rows[:n]  # the first boarding adds no hop
     ok = _stage_table(instance, rel)
-    labels = range(1, n + 1)
-    direct = [0.0] + [instance.direct_distance(p) for p in labels]
-    start = ([True] * (n + 1), [0.0] * n)  # any pickup boards first, with no hop
+    direct = [0.0] + [instance.direct_distance(p) for p in range(1, n + 1)]
     nodes = prunes = 0
-
     order: list[int] = []
-    used = [False] * (n + 1)
 
-    def dfs(last: int, partial_dist: float) -> None:
+    def dfs(last: int, free: int, partial_dist: float) -> None:
         nonlocal nodes, prunes
         nodes += 1
-        depth = len(order)
-        if depth == n:
+        if not free:
             visit(tuple(order), partial_dist + direct[last])
             return
-        allowed, row = (ok[depth + 1][last], rows[last - 1]) if depth else start
-        for label in labels:
-            if used[label]:
-                continue
-            if not allowed[label]:
-                prunes += 1
-                continue
-            used[label] = True
-            order.append(label)
-            dfs(label, partial_dist + row[label - 1])
+        allowed = free & ok[len(order) + 1][last]
+        prunes += (free & ~allowed).bit_count()
+        row = hops[last]
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            b = bit.bit_length()
+            order.append(b)
+            dfs(b, free ^ bit, partial_dist + row[b - 1])
             order.pop()
-            used[label] = False
 
-    dfs(0, 0.0)
+    dfs(0, (1 << n) - 1, 0.0)
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
 
 
@@ -207,11 +207,11 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
         states[mask] = None  # every successor is a larger mask
         stage = ok[mask.bit_count() + 1]
         for last, labels in here.items():
-            row, allowed = rows[last - 1], stage[last]
-            for b in range(1, n + 1):
-                bit = 1 << (b - 1)
-                if mask & bit or not allowed[b]:
-                    continue
+            row, succs = rows[last - 1], stage[last] & ~mask
+            while succs:
+                bit = succs & -succs
+                succs ^= bit
+                b = bit.bit_length()
                 succ = states[mask | bit]
                 if succ is None:
                     succ = states[mask | bit] = {}

@@ -109,12 +109,11 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
 
     A rider's factor depends only on the route from their pickup on, so this
     is a backward dynamic program over (set of riders boarding last, the
-    first of them), restricted to the states that some feasible prefix can
-    reach: O(2**n * n) states, and O(2**n * n**2) time times the labels a
-    state keeps. Each label is (suffix distance, largest factor, suffix
-    order); the suffix distance folds as ``_per_passenger_factors`` folds
-    it, from the last rider's direct distance backwards, so the factor is
-    bit for bit the one ``starvation_report`` gives.
+    first of them): O(2**n * n) states, and O(2**n * n**2) time times the
+    labels a state keeps. Each label is (suffix distance, largest factor,
+    suffix order); the suffix distance folds as ``_per_passenger_factors``
+    folds it, from the last rider's direct distance backwards, so the factor
+    is bit for bit the one ``starvation_report`` gives.
 
     Exact ties keep the lexicographically smallest pickup sequence. A label
     is dropped when another is no longer, starves no more and has the
@@ -134,46 +133,28 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                 lambda order, dist: _per_passenger_factors(instance, order))
         return None
     rows = instance.rows
-    ok = _stage_table(instance, rel)
     slack = _rounding_slack(instance)
     full = (1 << n) - 1
-    # enters[j][b]: the pickups a after which b may board j-th, as a bitmask
-    enters = [[sum(1 << (a - 1) for a in range(1, n + 1) if ok[j][a][b])
-               for b in range(n + 1)] for j in range(n + 1)]
-    # ends[mask]: the pickups that can board last in a feasible order of mask
-    ends = [0] * (full + 1)
-    for p in range(1, n + 1):
-        ends[1 << (p - 1)] = 1 << (p - 1)
-    for mask in range(1, full):
-        if ends[mask]:
-            stage = enters[mask.bit_count() + 1]
-            for b in range(1, n + 1):
-                if not mask >> (b - 1) & 1 and ends[mask] & stage[b]:
-                    ends[mask | 1 << (b - 1)] |= 1 << (b - 1)
-    if not ends[full]:
-        return None
-
-    def reachable(suffix: int, first: int) -> bool:
-        return suffix == full or bool(
-            ends[full ^ suffix] & enters[n - suffix.bit_count() + 1][first])
-
+    # before[j][b]: the pickups a after which b may board j-th, as a bitmask
+    before = [[0] + [sum(1 << (a - 1) for a in range(1, n + 1) if stage[a] >> (b - 1) & 1)
+                     for b in range(1, n + 1)] for stage in _stage_table(instance, rel)]
     # states[suffix][first]: labels of the feasible orders of ``suffix`` starting at ``first``
     states: list[dict[int, list] | None] = [None] * (full + 1)
     for f in range(1, n + 1):
-        if reachable(1 << (f - 1), f):
-            states[1 << (f - 1)] = {f: [(direct[f], 1.0, (f,))]}
+        states[1 << (f - 1)] = {f: [(direct[f], 1.0, (f,))]}
     for suffix in range(1, full):
         here = states[suffix]
         if here is None:
             continue
         states[suffix] = None  # every predecessor is a larger set
-        j = n - suffix.bit_count() + 1  # the stage at which ``first`` boards
+        stage = before[n - suffix.bit_count() + 1]  # ``first`` boards at this stage
         for first, labels in here.items():
-            for p in range(1, n + 1):
-                bit = 1 << (p - 1)
+            preds = stage[first] & ~suffix
+            while preds:
+                bit = preds & -preds
+                preds ^= bit
+                p = bit.bit_length()
                 wider = suffix | bit
-                if suffix & bit or not ok[j][p][first] or not reachable(wider, p):
-                    continue
                 prev = states[wider]
                 if prev is None:
                     prev = states[wider] = {}
@@ -183,6 +164,8 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                     dist += hop
                     mine = dist / own
                     _keep(into, dist, mine if mine > factor else factor, (p,) + order, slack)
+    if not states[full]:
+        return None
     factor, order = min((f, o) for labels in states[full].values() for _, f, o in labels)
     return Route.single_dropoff(order), factor
 

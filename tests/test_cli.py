@@ -247,6 +247,9 @@ BAD_INPUTS = [
     ({}, ["check-route", "{lb4}", "--route", "4,3,2,1", "--tolerance", "-0.5"]),
     ({"SIRSHARE_TOLERANCE": "abc"}, ["check-route", "{lb4}", "--route", "4,3,2,1"]),
     ({"SIRSHARE_TOLERANCE": "nan"}, ["check-route", "{lb4}", "--route", "4,3,2,1"]),
+    ({}, ["routes", "{lb3}", "--cap-override", "0"]),
+    ({}, ["opt-route", "{lb3}", "--cap-override", "0"]),
+    ({}, ["starvation", "{lb3}", "--cap-override", "0"]),
 ]
 
 

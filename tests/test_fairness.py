@@ -279,6 +279,22 @@ def test_verify_ratios_indeterminate_on_tight_stage():
         ss.verify_fairness_ratios(inst, route, table, [0.5, 0.5])
 
 
+def test_verify_ratios_strict_tolerance_rejects_only_exact_zero_benefit():
+    route = ss.Route.single_dropoff([1, 2])
+    tight = ss.generate_sqrt_tight_instance(2)  # total benefit is a 2.2e-16 residue
+    zero = ss.generate_lower_bound_instance(2)  # total benefit is exactly 0.0
+    tight_table, zero_table = (ss.beta_fair_table(inst, route, [0.5], rel=0.0)
+                               for inst in (tight, zero))
+    assert ss.benefit_breakdown(zero, route, zero_table, rel=0.0).tib == (0.0,)
+    for inst, table in ((tight, tight_table), (zero, zero_table)):
+        with pytest.raises(IndeterminateRatioError):
+            ss.verify_fairness_ratios(inst, route, table, [0.5])
+    ok, residuals = ss.verify_fairness_ratios(tight, route, tight_table, [0.5], rel=0.0)
+    assert isinstance(ok, bool) and len(residuals) == 1 and len(residuals[0]) == 2
+    with pytest.raises(IndeterminateRatioError):
+        ss.verify_fairness_ratios(zero, route, zero_table, [0.5], rel=0.0)
+
+
 def test_beta_table_still_defined_on_tight_stage():
     inst = ss.generate_sqrt_tight_instance(4)
     route = ss.Route.single_dropoff([1, 2, 3, 4])

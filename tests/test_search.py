@@ -76,6 +76,20 @@ def least_starved(instance, routes, rel):
     return best
 
 
+def scan_stats(instance, rel):
+    # the walk expands every prefix that passes its stages, and prunes at the
+    # first prefix that fails one
+    nodes, prunes = set(), set()
+    n = instance.n
+    for perm in itertools.permutations(range(1, n + 1)):
+        fv = ss.sir_feasible(instance, ss.Route.single_dropoff(perm), rel=rel).first_violation
+        fv = n + 1 if fv is None else fv
+        nodes.update(perm[:k] for k in range(fv))
+        if fv <= n:
+            prunes.add(perm[:fv])
+    return ss.SearchStats(nodes_expanded=len(nodes), prunes=len(prunes))
+
+
 def test_enumerate_matches_unpruned_scan():
     """Search prunes by exactly the stage test sir_feasible applies."""
     for rel in (DEFAULT_REL_TOL, 0.0):
@@ -83,6 +97,7 @@ def test_enumerate_matches_unpruned_scan():
             result = ss.enumerate_sir_routes(inst, rel=rel)
             pruned = [r.pickup_order for r in result.routes]
             assert pruned == unpruned_feasible_set(inst, rel=rel), (rel, inst.n)
+            assert result.stats == scan_stats(inst, rel), (rel, inst.n)
             assert ss.opt_sir_route(inst, rel=rel) == result.optimal
             try:
                 expected = least_starved(inst, result.routes, rel)
