@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowExtractionError, MalformedInputError, SizeError, UnsupportedModeError
-from .instances import SINGLE, Instance
+from .errors import FlowExtractionError, MalformedInputError, SizeError
+from .instances import Instance
 from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerance
 
 BRUTE_FORCE_CAP = 9
@@ -98,8 +98,7 @@ class Allocation:
 
 
 def _check_allocatable(instance: Instance, m_prime: int | None) -> None:
-    if instance.dropoff_mode != SINGLE:
-        raise UnsupportedModeError("allocation is defined for the single-dropoff setting")
+    instance.require_single_dropoff("allocation")
     if m_prime is not None and not 1 <= m_prime <= instance.n:
         raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{instance.n}")
 
@@ -481,8 +480,7 @@ def brute_force_allocation(instance: Instance) -> Allocation:
     set partitions. Ties prefer fewer vehicles, then the lexicographically
     smallest partition.
     """
-    if instance.dropoff_mode != SINGLE:
-        raise UnsupportedModeError("allocation is defined for the single-dropoff setting")
+    instance.require_single_dropoff("allocation")
     n = instance.n
     if n > BRUTE_FORCE_CAP:
         raise SizeError(f"brute force capped at n={BRUTE_FORCE_CAP}, got {n}")

@@ -220,6 +220,8 @@ def cmd_share(args) -> int:
 
 
 def cmd_routes(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise MalformedInputError(f"--limit must be at least 1, got {args.limit}")
     inst = Instance.load(args.instance)
     result = search.enumerate_sir_routes(
         inst, limit=args.limit, cap=args.cap_override,

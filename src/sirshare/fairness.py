@@ -19,7 +19,6 @@ from .errors import (
     InfeasibleRouteError,
     MalformedInputError,
     UnsupportedAssumptionError,
-    UnsupportedModeError,
 )
 from .feasibility import (
     CostShareTable,
@@ -29,7 +28,7 @@ from .feasibility import (
     sir_feasible,
     stage_costs,
 )
-from .instances import SINGLE, Instance, Route
+from .instances import Instance, Route
 from .numeric import DEFAULT_REL_TOL, approx_eq, check_tolerance, comparison_tolerance
 
 
@@ -73,11 +72,6 @@ class BenefitBreakdown:
         return self.tib[j - 2]
 
 
-def _require_single(instance: Instance, what: str) -> None:
-    if instance.dropoff_mode != SINGLE:
-        raise UnsupportedModeError(f"{what} is only defined for single-dropoff routes")
-
-
 def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
                       rel: float = DEFAULT_REL_TOL) -> BenefitBreakdown:
     """Benefit each rider draws from each boarding under the given table.
@@ -88,12 +82,12 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     the shares), equal to the newcomer's fare minus the detour priced at the
     pooled sensitivity.
     """
-    _require_single(instance, "benefit accounting")
+    instance.require_single_dropoff("benefit accounting")
     _balanced_costs(instance, route, table, rel)
     order = route.pickup_order
     aop = instance.alpha_op
     alphas = instance.alphas
-    detour = instance._stage_tables[0]
+    detour = instance.detour
     shares = table.shares
     ibs = []
     tibs = []
@@ -118,7 +112,7 @@ def beta_fair_table(instance: Instance, route: Route,
     each existing rider's discount blends their proportional cut of the
     operator-side surplus with direct compensation for their inconvenience.
     """
-    _require_single(instance, "fair-share construction")
+    instance.require_single_dropoff("fair-share construction")
     betas = BetaVector.of(betas)
     n = instance.n
     if len(betas) != max(n - 1, 0):
@@ -132,7 +126,7 @@ def beta_fair_table(instance: Instance, route: Route,
     order = route.pickup_order
     aop = instance.alpha_op
     alphas = instance.alphas
-    detour = instance._stage_tables[0]
+    detour = instance.detour
     rows: list[list[float]] = [[aop * instance.direct_distance(order[0])]]
     for j in range(2, n + 1):
         weight_sum = instance.alpha_prefix[j - 1]
@@ -170,7 +164,7 @@ def xc_table(instance: Instance, route: Route,
     before 3.12.
     """
     check_tolerance(rel)
-    _require_single(instance, "segment-split table")
+    instance.require_single_dropoff("segment-split table")
     route.validate(instance)
     aop = instance.alpha_op
     for i, a in enumerate(instance.alphas, start=1):
@@ -181,7 +175,7 @@ def xc_table(instance: Instance, route: Route,
             )
     order = route.pickup_order
     n = instance.n
-    rows, detour = instance.rows, instance._stage_tables[0]
+    rows, detour = instance.rows, instance.detour
     det = [0.0, 0.0] + [detour[a][b] for a, b in zip(order, order[1:])]
     sd = [0.0] + [instance.direct_distance(p) for p in order]
     paid_to_earlier = [(i - 1) * det[i] for i in range(n + 1)]
@@ -214,7 +208,7 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     realized benefit fraction minus the target fraction per (rider, stage).
     Raises if some stage's total benefit is zero, where ratios are undefined.
     """
-    _require_single(instance, "fairness verification")
+    instance.require_single_dropoff("fairness verification")
     betas = BetaVector.of(betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
     alphas = instance.alphas

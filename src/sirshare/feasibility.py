@@ -103,9 +103,7 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
 
     d = [0.0] * (n + 1)
     d_i = [[0.0] * (n + 1) for _ in range(n + 1)]
-    direct = [0.0] * (n + 1)
-    for r in range(1, n + 1):
-        direct[r] = instance.direct_distance(order[r - 1])
+    direct = [0.0] + [instance.direct[p] for p in order]  # by boarding rank
 
     if instance.dropoff_mode == SINGLE:
         rows = instance.rows
@@ -306,32 +304,30 @@ class FeasibilityResult:
 
 def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...]:
     """Extra distance each boarding adds for everyone aboard, stages 2..n."""
-    if instance.dropoff_mode != SINGLE:
-        raise MalformedInputError("detour sequence is defined for single-dropoff routes")
+    instance.require_single_dropoff("the detour sequence")
     order = route.pickup_order
-    detour = instance._stage_tables[0]
+    detour = instance.detour
     return tuple(detour[a][b] for a, b in zip(order, order[1:]))
 
 
-def sir_feasible(instance: Instance, route: Route, rel: float = DEFAULT_REL_TOL,
-                 general: bool = False) -> FeasibilityResult:
+def sir_feasible(instance: Instance, route: Route,
+                 rel: float = DEFAULT_REL_TOL) -> FeasibilityResult:
     """Decide whether some budget-balanced table is SIR on this route.
 
     For single-dropoff routes each stage's incremental detour is compared
-    against its shrinking budget (``Instance._stage_tables``). ``general=True``
-    forces the stage-cost form that also covers interleaved per-rider
-    dropoffs. Stage slacks within tolerance of zero count as feasible. The
-    tolerance and route are validated first; the route check is cached per
-    route.
+    against its shrinking budget (``Instance.detour`` and ``Instance.budget``);
+    per-rider dropoffs take the stage-cost form. Stage slacks within
+    tolerance of zero count as feasible. The tolerance and route are
+    validated first; the route check is cached per route.
     """
     check_tolerance(rel)
     route.validate(instance)
     n = instance.n
     stages: list[StageSlack] = []
 
-    if instance.dropoff_mode == SINGLE and not general:
+    if instance.dropoff_mode == SINGLE:
         order = route.pickup_order
-        detour, budget = instance._stage_tables
+        detour, budget = instance.detour, instance.budget
         for j in range(2, n + 1):
             a, b = order[j - 2], order[j - 1]
             stages.append(StageSlack(stage=j, lhs=detour[a][b], rhs=budget[j][b]))

@@ -10,12 +10,19 @@ Distances are stored as an explicit table; Euclidean input is a convenience
 constructor. Non-metric tables are first class (``metric_flag=False``):
 some generators intentionally produce them, and consumers that require a
 metric must check the flag.
+
+Table invariant: every :class:`DistanceTable` holds a square, finite,
+read-only float array. The check runs when the table is built, whoever
+builds it (``from_matrix``, ``from_euclidean`` or a generator), and raises
+:class:`MalformedInputError` for ragged, non-numeric, non-square or
+non-finite input, so no consumer checks the entries again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, MalformedInputError
+from .errors import ConstructionError, MalformedInputError, UnsupportedModeError
 from .numeric import ABS_FLOOR, DEFAULT_REL_TOL, check_tolerance
 
 SINGLE = "single"
@@ -61,7 +68,11 @@ class MetricReport:
 
 
 def _as_square_matrix(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    """The table check: outside input as a square, finite float array."""
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"distance table is not a matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MalformedInputError(f"distance table must be square, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -140,6 +151,7 @@ def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
 class DistanceTable:
     """Symmetric nonnegative distance matrix with a metric flag.
 
+    ``entries`` is a read-only copy that passed the table check.
     ``metric_flag`` asserts the triangle inequality holds; it is computed at
     construction unless explicitly supplied (generators that prove it by
     construction pass it directly). ``load_check`` holds the (tolerance,
@@ -151,7 +163,11 @@ class DistanceTable:
     load_check: tuple[float, MetricReport] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        entries = _as_square_matrix(self.entries)
+        if entries is self.entries:
+            entries = entries.copy()  # never freeze or alias the caller's array
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -171,8 +187,8 @@ class DistanceTable:
     @classmethod
     def from_matrix(cls, entries, metric_flag: bool | None = None,
                     rel_tol: float = DEFAULT_REL_TOL) -> "DistanceTable":
-        arr = _as_square_matrix(entries).copy()
-        report = validate_metric(arr, rel_tol)
+        table = cls(entries=entries, metric_flag=False)
+        report = validate_metric(table, rel_tol)
         hard = [v for v in report.violations if v.kind != "triangle"]
         if hard:
             first = hard[0]
@@ -181,30 +197,25 @@ class DistanceTable:
             )
         if metric_flag is None:
             metric_flag = report.ok
-        return cls(entries=arr, metric_flag=bool(metric_flag), load_check=(rel_tol, report))
+        return cls(entries=table.entries, metric_flag=bool(metric_flag),
+                   load_check=(rel_tol, report))
 
 
 def from_euclidean(coords: Sequence) -> DistanceTable:
     """Distance table of pairwise Euclidean distances.
 
     Accepts scalars (line metric) or same-dimension coordinate vectors.
+    Non-finite coordinates and overflowing distances fail the table check.
     """
-    rows = []
-    dim = None
-    for c in coords:
-        vec = [float(c)] if np.isscalar(c) else [float(x) for x in c]
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise MalformedInputError(
-                f"mixed coordinate dimensions: expected {dim}, got {len(vec)}"
-            )
-        rows.append(vec)
-    pts = np.asarray(rows, dtype=float)
-    if pts.size and not np.all(np.isfinite(pts)):
-        raise MalformedInputError("coordinates contain NaN or infinite values")
-    diff = pts[:, None, :] - pts[None, :, :]
-    entries = np.sqrt((diff * diff).sum(axis=2))
+    try:
+        pts = np.array([np.atleast_1d(c) for c in coords], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"coordinates are not points of one dimension: {exc}") from None
+    if pts.ndim != 2:
+        raise MalformedInputError(f"coordinates must be a list of points, got shape {pts.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        entries = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(entries, 0.0)
     return DistanceTable(entries=entries, metric_flag=True)
 
@@ -212,6 +223,38 @@ def from_euclidean(coords: Sequence) -> DistanceTable:
 # ---------------------------------------------------------------------------
 # Instance
 # ---------------------------------------------------------------------------
+
+def _checked_rates(n: int, alpha_op: float,
+                   alphas: Iterable[float]) -> tuple[float, tuple[float, ...]]:
+    """The rates as floats, once they fit n riders: a positive, finite operator
+    rate and n nonnegative, finite sensitivities, each a real number (not a
+    string or a boolean). Raises MalformedInputError otherwise."""
+    alphas = tuple(alphas)
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (alpha_op, *alphas)):
+        raise MalformedInputError("rates must be real numbers")
+    try:
+        alpha_op, alphas = float(alpha_op), tuple(float(a) for a in alphas)
+    except OverflowError:
+        raise MalformedInputError("rates must be finite") from None
+    if not (0 < alpha_op < math.inf):
+        raise MalformedInputError("operator rate must be positive and finite")
+    if len(alphas) != n:
+        raise MalformedInputError(f"need {n} sensitivities, got {len(alphas)}")
+    if not all(0 <= a < math.inf for a in alphas):
+        raise MalformedInputError("detour sensitivities must be nonnegative and finite")
+    return alpha_op, alphas
+
+
+def _stage_denominators(alpha_op: float, alphas: Sequence[float]) -> list[float]:
+    """``1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op`` for stages j = 1..n, the
+    sensitivities summed left to right from 0.0: stage j's budget is the
+    newcomer's direct distance over the j-th entry."""
+    denoms, acc = [], 0.0
+    for a in alphas:
+        denoms.append(1.0 + acc / alpha_op)
+        acc += a
+    return denoms
+
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -247,13 +290,14 @@ class Instance:
                 f"distance table has {self.dist.size} points, expected {expected} "
                 f"for n={self.n} in {self.dropoff_mode} mode"
             )
-        if not (0 < self.alpha_op < math.inf):
-            raise MalformedInputError("operator rate must be positive and finite")
-        if len(self.alphas) != self.n:
-            raise MalformedInputError(f"need {self.n} sensitivities, got {len(self.alphas)}")
-        if not all(0 <= a < math.inf for a in self.alphas):
-            raise MalformedInputError("detour sensitivities must be nonnegative and finite")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        alpha_op, alphas = _checked_rates(self.n, self.alpha_op, self.alphas)
+        object.__setattr__(self, "alpha_op", alpha_op)
+        object.__setattr__(self, "alphas", alphas)
+
+    def require_single_dropoff(self, what: str) -> None:
+        """Raise UnsupportedModeError unless every rider shares one dropoff."""
+        if self.dropoff_mode != SINGLE:
+            raise UnsupportedModeError(f"{what} is only defined for single-dropoff instances")
 
     # -- geometry helpers (labels are 1-based) --
 
@@ -271,47 +315,41 @@ class Instance:
         return self.n + point_label - 1
 
     @cached_property
-    def _direct(self) -> tuple[float, ...]:
+    def direct(self) -> tuple[float, ...]:
         """Pickup-to-own-dropoff distance by point label (index 0 is padding)."""
         labels = range(1, self.n + 1)
         return (0.0,) + tuple(self.rows[p - 1][self.dropoff_index(p)] for p in labels)
 
     def direct_distance(self, point_label: int) -> float:
-        return self._direct[point_label]
+        return self.direct[point_label]
+
+    # -- single-dropoff stage tables, by label (index 0 is padding): the j-th boarding,
+    # at b right after a, passes when detour[a][b] <= budget[j][b]. Each entry folds
+    # as the per-stage formula does, so a lookup is bit for bit the recomputed value.
 
     @cached_property
-    def _stage_tables(self) -> tuple[list[list[float]], list[list[float]]]:
-        """``(detour, budget)`` of every single-dropoff boarding, by label.
-
-        ``detour[a][b] = d(a,b) + d(b,D) - d(a,D)`` is what a boarding at
-        pickup b right after pickup a adds for everyone aboard. ``budget[j][b]
-        = d(b,D) / (1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op)`` is what the
-        j-th boarding, at pickup b, may add: all of d(b,D) when the weights
-        vanish (``zero``) and 0.0 when they dominate (``infinite``). Index 0
-        is padding. The stage test is ``detour[a][b] <= budget[j][b]``.
-
-        Each entry folds exactly as the per-stage formula does, so a lookup is
-        bit for bit the recomputed value. Readers: ``feasibility.sir_feasible``
-        and ``single_dropoff_detours``, ``search._stage_table`` (and so the
-        route searches), and ``fairness.benefit_breakdown``,
-        ``beta_fair_table`` and ``xc_table``.
-        """
-        n, rows, direct = self.n, self.rows, self._direct
+    def detour(self) -> list[list[float]]:
+        """``detour[a][b] = d(a,b) + d(b,D) - d(a,D)``: what a boarding at
+        pickup b right after pickup a adds for everyone aboard."""
+        n, rows, direct = self.n, self.rows, self.direct
         detour = [[0.0] * (n + 1)]
         for a in range(1, n + 1):
             row, da = rows[a - 1], direct[a]
             detour.append([0.0] + [row[b - 1] + direct[b] - da for b in range(1, n + 1)])
+        return detour
+
+    @cached_property
+    def budget(self) -> list[list[float]]:
+        """``budget[j][b] = d(b,D) / (1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op)``:
+        what the j-th boarding, at pickup b, may add; all of d(b,D) when the
+        weights vanish (``zero``), 0.0 when they dominate (``infinite``)."""
+        n, direct = self.n, self.direct
         if self.regime == REGIME_ZERO:
-            budget = [list(direct) for _ in range(n + 1)]
-        elif self.regime == REGIME_INFINITE:
-            budget = [[0.0] * (n + 1) for _ in range(n + 1)]
-        else:
-            prefix, aop = self.alpha_prefix, self.alpha_op
-            budget = [[0.0] * (n + 1)]
-            for j in range(1, n + 1):
-                denom = 1.0 + prefix[j - 1] / aop
-                budget.append([d / denom for d in direct])
-        return detour, budget
+            return [list(direct) for _ in range(n + 1)]
+        if self.regime == REGIME_INFINITE:
+            return [[0.0] * (n + 1) for _ in range(n + 1)]
+        denoms = _stage_denominators(self.alpha_op, self.alphas)
+        return [[0.0] * (n + 1)] + [[d / denom for d in direct] for denom in denoms]
 
     @cached_property
     def alpha_prefix(self) -> tuple[float, ...]:
@@ -347,23 +385,22 @@ class Instance:
             raise MalformedInputError(
                 "instance JSON must supply exactly one of 'distance_matrix' or 'coords'"
             )
+        n, alphas, flag = data["n"], data["alphas"], data.get("metric_flag")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise MalformedInputError(f"JSON field 'n' must be an integer, not {n!r}")
+        if not isinstance(alphas, list):
+            raise MalformedInputError(f"JSON field 'alphas' must be a list, not {alphas!r}")
+        if not isinstance(flag, (bool, type(None))):
+            raise MalformedInputError(f"JSON field 'metric_flag' must be a boolean, not {flag!r}")
         if has_coords:
             table = from_euclidean(data["coords"])
         else:
-            table = DistanceTable.from_matrix(
-                data["distance_matrix"], metric_flag=data.get("metric_flag")
-            )
-        try:
-            n = int(data["n"])
-            alpha_op = float(data["alpha_op"])
-            alphas = tuple(float(a) for a in data["alphas"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedInputError(f"instance JSON has a non-numeric field: {exc}") from exc
+            table = DistanceTable.from_matrix(data["distance_matrix"], metric_flag=flag)
         return cls(
             dist=table,
-            n=n,
+            n=int(n),
             dropoff_mode=str(data["dropoff_mode"]),
-            alpha_op=alpha_op,
+            alpha_op=data["alpha_op"],
             alphas=alphas,
             regime=str(data["regime"]),
         )
@@ -529,11 +566,7 @@ def generate_lower_bound_instance(
             )
 
     # z[j] is the stage-j detour budget as a fraction of the direct distance.
-    z = [0.0] * (n + 1)
-    acc = 0.0
-    for j in range(1, n + 1):
-        z[j] = 1.0 / (1.0 + acc / alpha_op)
-        acc += alphas[j - 1]
+    z = [0.0] + [1.0 / denom for denom in _stage_denominators(alpha_op, alphas)]
 
     # Triangle constraint for pickups a, a+1, a+2 binds the slack factor:
     # the separation of the non-adjacent pair may exceed z[a+1]*ell by at
@@ -555,13 +588,13 @@ def generate_lower_bound_instance(
             dab = z[a + 1] * ell if b == a + 1 else z[a + 1] * ell * (1.0 + s_eff)
             mat[a - 1, b - 1] = mat[b - 1, a - 1] = dab
 
-    report = validate_metric(mat)
+    table = DistanceTable(entries=mat, metric_flag=True)
+    report = validate_metric(table)
     if not report.ok:
         first = report.by_kind("triangle")[0]
         raise ConstructionError(
             f"constructed table violates the triangle inequality at points {first.indices}"
         )
-    table = DistanceTable(entries=mat, metric_flag=True)
     return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=float(alpha_op),
                     alphas=tuple(alphas), regime=REGIME_FINITE)
 
@@ -631,8 +664,7 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
         u, v = tuple(pair)
         mat[u - 1, v - 1] = mat[v - 1, u - 1] = ell / n
 
-    flag = validate_metric(mat).ok
-    table = DistanceTable(entries=mat, metric_flag=flag)
+    table = DistanceTable.from_matrix(mat)
     return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
                     alphas=(1.0,) * n, regime=REGIME_FINITE)
 
@@ -646,14 +678,11 @@ def reduce_path_tsp(metric, margin: float = 0.01) -> Instance:
     rates equal. Every boarding order is then feasible and its length is the
     corresponding vertex path weight plus L.
     """
-    if isinstance(metric, DistanceTable):
-        if not metric.metric_flag:
-            raise MalformedInputError("input table must be metric")
-        entries = metric.entries
-    else:
-        entries = _as_square_matrix(metric)
-        if not validate_metric(entries).ok:
-            raise MalformedInputError("input table must be metric")
+    if not isinstance(metric, DistanceTable):
+        metric = DistanceTable.from_matrix(metric)
+    if not metric.metric_flag:
+        raise MalformedInputError("input table must be metric")
+    entries = metric.entries
     n = entries.shape[0]
     if n < 2:
         raise ConstructionError("need at least 2 pickup points")

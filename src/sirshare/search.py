@@ -3,8 +3,8 @@
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
 once, from the stage test that ``sir_feasible`` applies to the instance's
-cached ``_stage_tables``: ``ok[j][a]`` is a bitmask of the pickups that may
-board j-th right after pickup a, and each search walks the set bits of
+``detour`` and ``budget`` tables: ``ok[j][a]`` is a bitmask of the pickups that
+may board j-th right after pickup a, and each search walks the set bits of
 ``ok[j][last]`` that are still free, lowest label first.
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
@@ -24,11 +24,12 @@ ties towards the lexicographically smallest pickup sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import SizeError, UnsupportedModeError
-from .instances import SINGLE, Instance, Route
+from .errors import MalformedInputError, SizeError, UnsupportedModeError
+from .instances import Instance, Route
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 
 DEFAULT_CAP = 10
@@ -50,8 +51,7 @@ class SearchResult:
 
 def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
     check_tolerance(rel)
-    if instance.dropoff_mode != SINGLE:
-        raise UnsupportedModeError("route search is only defined for single-dropoff instances")
+    instance.require_single_dropoff("route search")
     if instance.n > cap:
         raise SizeError(
             f"n={instance.n} exceeds the exact-search cap {cap}; "
@@ -66,7 +66,7 @@ def _stage_table(instance: Instance, rel: float) -> list[list[int]]:
     every pickup, because anyone may board first.
     """
     n = instance.n
-    detour, budget = instance._stage_tables
+    detour, budget = instance.detour, instance.budget
     labels = range(1, n + 1)
     ok = [[0] * (n + 1) for _ in range(n + 1)]
     ok[1][0] = (1 << n) - 1
@@ -89,7 +89,7 @@ def _search(instance: Instance, rel: float, cap: int,
     n = instance.n
     hops = [[0.0] * n] + instance.rows[:n]  # the first boarding adds no hop
     ok = _stage_table(instance, rel)
-    direct = [0.0] + [instance.direct_distance(p) for p in range(1, n + 1)]
+    direct = instance.direct
     nodes = prunes = 0
     order: list[int] = []
 
@@ -132,10 +132,12 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
     """All feasible boarding orders, in lexicographic pickup order.
 
     ``limit`` truncates the returned route list (the minimum-distance route
-    is still taken over everything enumerated). The walk expands each
-    feasible prefix once, and each listed order costs one tuple
+    is still taken over everything enumerated; 0 lists none). The walk
+    expands each feasible prefix once, and each listed order costs one tuple
     concatenation (``Route._single_dropoff_batch``).
     """
+    if limit is not None and limit < 0:
+        raise MalformedInputError(f"route limit must be >= 0, got {limit}")
     orders: list[tuple[int, ...]] = []
     found = 0
     best: tuple[tuple[int, ...], float] | None = None
@@ -238,10 +240,15 @@ def line_metric_verdict(positions: Sequence[float], dropoff: float):
 
     Returns the sweep Route, or None when infeasible.
     """
-    positions = [float(p) for p in positions]
+    try:
+        positions = [float(p) for p in positions]
+        d = float(dropoff)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"line positions must be numbers: {exc}") from None
     if not positions:
         raise UnsupportedModeError("need at least one pickup position")
-    d = float(dropoff)
+    if not all(math.isfinite(x) for x in positions + [d]):
+        raise MalformedInputError("line positions must be finite")
     lo, hi = min(positions), max(positions)
     if lo < d < hi:
         return None

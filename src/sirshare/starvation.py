@@ -13,9 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateDistanceError, UnsupportedModeError
+from .errors import DegenerateDistanceError
 from .feasibility import sir_feasible
-from .instances import REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
+from .instances import (
+    REGIME_INFINITE,
+    REGIME_ZERO,
+    Instance,
+    Route,
+    _checked_rates,
+    _stage_denominators,
+)
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 from .search import DEFAULT_CAP, _check_searchable, _rounding_slack, _search, _stage_table
 
@@ -62,8 +69,7 @@ def starvation_report(instance: Instance, route: Route,
     weight condition the instance meets is reported.
     """
     check_tolerance(rel)
-    if instance.dropoff_mode != SINGLE:
-        raise UnsupportedModeError("starvation factors are defined for single-dropoff routes")
+    instance.require_single_dropoff("the starvation report")
     feasible = sir_feasible(instance, route, rel=rel).feasible
     factors = _per_passenger_factors(instance, route.pickup_order)
     gamma = max(factors)
@@ -127,7 +133,7 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
-    direct = [0.0] + [instance.direct_distance(p) for p in range(1, n + 1)]
+    direct = instance.direct
     if min(direct[1:]) <= 0.0:
         _search(instance, rel, cap,
                 lambda order, dist: _per_passenger_factors(instance, order))
@@ -175,13 +181,11 @@ def lower_bound_value(n: int, alpha_op: float, alphas: Sequence[float]) -> float
 
     Sum over stages of the stage detour budget as a fraction of the direct
     distance; with equal weights this is the n-th harmonic number, and it
-    approaches n as the sensitivities vanish.
+    approaches n as the sensitivities vanish. The rates must fit an
+    instance of n riders.
     """
-    alphas = [float(a) for a in alphas]
+    alpha_op, alphas = _checked_rates(n, alpha_op, alphas)
     total = 0.0
-    acc = 0.0
-    for j in range(1, n + 1):
-        total += 1.0 / (1.0 + acc / alpha_op)
-        if j - 1 < len(alphas):
-            acc += alphas[j - 1]
+    for denom in _stage_denominators(alpha_op, alphas):
+        total += 1.0 / denom
     return total

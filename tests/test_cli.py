@@ -250,6 +250,8 @@ BAD_INPUTS = [
     ({}, ["routes", "{lb3}", "--cap-override", "0"]),
     ({}, ["opt-route", "{lb3}", "--cap-override", "0"]),
     ({}, ["starvation", "{lb3}", "--cap-override", "0"]),
+    ({}, ["routes", "{lb3}", "--limit", "0"]),
+    ({}, ["routes", "{lb3}", "--limit", "-2"]),
 ]
 
 
@@ -266,6 +268,25 @@ def test_bad_input_exits_one_with_error(env, argv, lb_instance, lb4_instance, ca
         monkeypatch.setenv(key, value)
     argv = [a.format(lb3=lb_instance, lb4=lb4_instance) for a in argv]
     code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("distance_matrix", [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]),
+    ("distance_matrix", [[0.0, 1.0, 2.0], [1.0, 0.0, "x"], [2.0, "x", 0.0]]),
+    ("coords", [[0.0, 0.0], [1.0], [2.0, 0.0]]),
+    ("coords", [0.0, "x", 2.0]),
+    ("coords", [1e200, -1e200, 0.0]),
+], ids=["ragged-matrix", "text-in-matrix", "ragged-coords", "text-in-coords",
+        "overflowing-coords"])
+def test_validate_rejects_malformed_table(field, value, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "dropoff_mode": "single", field: value,
+                                "alpha_op": 1.0, "alphas": [1.0, 1.0], "regime": "finite"}))
+    code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -7,7 +7,12 @@ import pytest
 import sirshare as ss
 from sirshare.errors import BudgetBalanceError, InfeasibleRouteError, MalformedInputError
 
-from corpus import random_euclidean_instance, random_multi_instance, random_multi_route
+from corpus import (
+    random_euclidean_instance,
+    random_feasible_instance,
+    random_multi_instance,
+    random_multi_route,
+)
 
 
 def n2_instance(alpha_op=1.0, alphas=(1.0, 1.0)):
@@ -231,15 +236,31 @@ def test_sir_feasible_zero_and_infinite_regime_bounds():
     assert not infinite.feasible  # detour 1 > 0
 
 
+def multi_dropoff_twin(inst):
+    """The instance with one dropoff point per rider, every one of them at D."""
+    points = list(range(inst.n)) + [inst.n] * inst.n
+    table = ss.DistanceTable(entries=inst.dist.entries[np.ix_(points, points)],
+                             metric_flag=inst.dist.metric_flag)
+    return ss.Instance(dist=table, n=inst.n, dropoff_mode="multi", alpha_op=inst.alpha_op,
+                       alphas=inst.alphas, regime=inst.regime)
+
+
 def test_sir_feasible_general_form_agrees_on_single_dropoff():
+    # the closed form on each instance against the stage-cost form on its
+    # twin; the feasible-by-construction instances give both verdicts
     rng = np.random.default_rng(31)
+    feasible = 0
     for _ in range(15):
-        inst = random_euclidean_instance(rng, 4, alpha_low=0.1)
-        for perm in itertools.permutations(range(1, 5)):
-            route = ss.Route.single_dropoff(perm)
-            fast = ss.sir_feasible(inst, route)
-            general = ss.sir_feasible(inst, route, general=True)
-            assert fast.feasible == general.feasible
+        for inst in (random_euclidean_instance(rng, 4, alpha_low=0.1),
+                     random_feasible_instance(rng, 4)):
+            twin = multi_dropoff_twin(inst)
+            for perm in itertools.permutations(range(1, 5)):
+                route = ss.Route.single_dropoff(perm)
+                fast = ss.sir_feasible(inst, route)
+                general = ss.sir_feasible(twin, route)
+                assert fast.first_violation == general.first_violation
+                feasible += fast.feasible
+    assert feasible > 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sirshare as ss
-from sirshare.errors import ConstructionError, MalformedInputError
+from sirshare.errors import ConstructionError, MalformedInputError, UnsupportedModeError
 from sirshare.numeric import ABS_FLOOR
 
 from corpus import (
@@ -86,6 +86,24 @@ def test_from_euclidean_line():
 def test_from_euclidean_mixed_dimensions():
     with pytest.raises(MalformedInputError):
         ss.from_euclidean([(0.0, 0.0), (1.0,)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ss.line_instance([1e200, -1e200], 0.0),  # distances overflow to inf
+    lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=math.inf),
+    lambda: ss.DistanceTable(entries=np.array([[0.0, math.nan], [math.nan, 0.0]]),
+                             metric_flag=True),
+], ids=["euclidean-overflow", "path-tsp-infinite-margin", "direct-table"])
+def test_tables_are_checked_when_built(build):
+    with pytest.raises(MalformedInputError, match="NaN or infinite"):
+        build()
+
+
+def test_table_does_not_freeze_the_callers_array():
+    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
+    table = ss.DistanceTable(entries=entries, metric_flag=True)
+    entries[0, 1] = 5.0
+    assert table.entries[0, 1] == 1.0 and not table.entries.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,7 +479,12 @@ def test_route_validation_rejects_drop_before_pickup():
     (1.0, (1.0, math.inf)),
     (math.inf, (1.0, 1.0)),
     (math.nan, (1.0, 1.0)),
-], ids=["nan-alpha", "inf-alpha", "inf-alpha-op", "nan-alpha-op"])
+    ("1", (1.0, 1.0)),
+    (True, (1.0, 1.0)),
+    (1.0, ("x", 1.0)),
+    (10 ** 400, (1.0, 1.0)),
+], ids=["nan-alpha", "inf-alpha", "inf-alpha-op", "nan-alpha-op", "string-alpha-op",
+        "bool-alpha-op", "string-alpha", "huge-int-alpha-op"])
 def test_instance_rejects_non_finite_rates(alpha_op, alphas):
     table = ss.from_euclidean([0.0, 1.0, 3.0])
     with pytest.raises(MalformedInputError):
@@ -479,6 +502,51 @@ def test_instance_from_json_rejects_non_finite_rates(field, text):
     data[field] = json.loads(text)
     with pytest.raises(MalformedInputError):
         ss.Instance.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.7),
+    ("n", "2"),
+    ("n", True),
+    ("alphas", "11"),
+    ("alphas", [1.0, "1"]),
+    ("alpha_op", True),
+    ("alpha_op", "1"),
+    ("alpha_op", 10 ** 400),
+    ("metric_flag", "false"),
+], ids=["n-float", "n-string", "n-bool", "alphas-string", "alphas-string-item",
+        "alpha_op-bool", "alpha_op-string", "alpha_op-huge-int", "metric_flag-string"])
+def test_instance_from_json_rejects_ill_typed_fields(field, value):
+    data = ss.generate_sqrt_tight_instance(2).to_dict()
+    data[field] = value
+    with pytest.raises(MalformedInputError):
+        ss.Instance.from_dict(data)
+
+
+_MULTI = ss.Instance(dist=ss.from_euclidean([0.0, 1.0, 5.0, 7.0]), n=2,
+                     dropoff_mode="multi", alpha_op=1.0, alphas=(1.0, 1.0))
+_ROUTE = ss.Route.single_dropoff([1, 2])
+_TABLE = ss.CostShareTable(shares=((1.0,), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ss.single_dropoff_detours(_MULTI, _ROUTE),
+    lambda: ss.benefit_breakdown(_MULTI, _ROUTE, _TABLE),
+    lambda: ss.beta_fair_table(_MULTI, _ROUTE, [0.5]),
+    lambda: ss.xc_table(_MULTI, _ROUTE),
+    lambda: ss.verify_fairness_ratios(_MULTI, _ROUTE, _TABLE, [0.5]),
+    lambda: ss.starvation_report(_MULTI, _ROUTE),
+    lambda: ss.enumerate_sir_routes(_MULTI),
+    lambda: ss.opt_sir_route(_MULTI),
+    lambda: ss.min_route_starvation(_MULTI),
+    lambda: ss.optimal_allocation(_MULTI),
+    lambda: ss.build_network(_MULTI, 1),
+    lambda: ss.brute_force_allocation(_MULTI),
+], ids=["detours", "benefit", "beta", "xc", "ratios", "starvation", "enumerate", "opt",
+        "min-starvation", "allocate", "network", "brute-force"])
+def test_single_dropoff_entry_points_reject_multi_dropoff(call):
+    with pytest.raises(UnsupportedModeError, match="only defined for single-dropoff instances"):
+        call()
 
 
 MULTI_INTERLEAVED = ss.Route(events=(("P", 1), ("D", 1), ("P", 2), ("D", 2)))

@@ -118,6 +118,11 @@ def test_enumerate_lexicographic_and_limit():
     assert len(cut.routes) == 5
     assert cut.truncated
     assert cut.optimal is not None  # optimal still over everything found
+    counted = ss.enumerate_sir_routes(inst, limit=0)
+    assert counted.routes == () and counted.truncated
+    assert counted.optimal == full.optimal and counted.stats == full.stats
+    with pytest.raises(MalformedInputError, match="route limit"):
+        ss.enumerate_sir_routes(inst, limit=-1)
 
 
 def test_enumerate_routes_equal_single_dropoff_routes():
@@ -317,6 +322,18 @@ def test_line_verdict_dropoff_on_boundary():
     assert route is not None
     inst = ss.line_instance([0.0, 5.0], 0.0)
     assert ss.sir_feasible(inst, route).feasible
+
+
+@pytest.mark.parametrize("positions, dropoff", [
+    ([math.nan, 1.0], 0.0),
+    ([1.0, math.inf], 0.0),
+    ([1.0, 2.0], math.nan),
+    ([1.0, "x"], 0.0),
+    ([1.0, None], 0.0),
+])
+def test_line_verdict_rejects_bad_positions(positions, dropoff):
+    with pytest.raises(MalformedInputError):
+        ss.line_metric_verdict(positions, dropoff)
 
 
 def test_line_verdict_agrees_with_enumeration_small():

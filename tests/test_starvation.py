@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import sirshare as ss
-from sirshare.errors import DegenerateDistanceError, SizeError, UnsupportedModeError
+from sirshare.errors import (
+    DegenerateDistanceError,
+    MalformedInputError,
+    SizeError,
+    UnsupportedModeError,
+)
 
 from corpus import central_product, harmonic, random_euclidean_instance, with_regime
 
@@ -127,6 +132,21 @@ def test_lower_bound_value_examples():
     assert ss.lower_bound_value(3, 1.0, [1.0, 1.0, 1.0]) == pytest.approx(11.0 / 6.0)
     assert ss.lower_bound_value(1, 2.0, [3.0]) == 1.0
     assert ss.lower_bound_value(5, 1.0, [0.0] * 5) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("alpha_op, alphas", [
+    (0.0, [1.0, 1.0, 1.0]),
+    (math.nan, [1.0, 1.0, 1.0]),
+    (1.0, [1.0]),
+    (1.0, [1.0, math.nan, 1.0]),
+    (1.0, [1.0, -1.0, 1.0]),
+    ("x", [1.0, 1.0, 1.0]),
+    (10 ** 400, [1.0, 1.0, 1.0]),
+], ids=["zero-rate", "nan-rate", "one-weight", "nan-weight", "negative-weight", "string-rate",
+        "huge-int-rate"])
+def test_lower_bound_value_rejects_bad_rates(alpha_op, alphas):
+    with pytest.raises(MalformedInputError):
+        ss.lower_bound_value(3, alpha_op, alphas)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
