@@ -6,12 +6,14 @@ said no (infeasible route, no feasible routes, failed validation), 1 means
 the tool itself failed (bad flags, unreadable files, schema violations).
 Floating output is printed with 12 significant digits; ``--json`` switches
 every subcommand to a stable JSON report. The SIRSHARE_TOLERANCE environment
-variable overrides the default relative tolerance of 1e-9.
+variable overrides the default relative tolerance of 1e-9; it is read on each
+call of :func:`main`, so a process that runs many requests sees changes to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -392,7 +394,8 @@ def cmd_generate(args) -> int:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
     parser = _Parser(prog="sirshare",
                      description="Detour-aware cost sharing for shared rides")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,25 +404,21 @@ def build_parser() -> _Parser:
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON output")
-        # argparse converts a string default (the environment value) with type= too
+        # None stands for SIRSHARE_TOLERANCE or the default; main resolves it per call
         p.add_argument("--tolerance", type=float,
-                       default=os.environ.get("SIRSHARE_TOLERANCE", DEFAULT_REL_TOL),
                        help="relative tolerance (0 for strict)")
 
     p = sub.add_parser("validate", help="check the distance table against its metric flag")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check-route", help="per-stage feasibility slacks for a route")
     common(p)
     p.add_argument("--route", required=True,
                    help="comma-separated pickup labels; d<rank> tokens for multi-dropoff")
-    p.set_defaults(func=cmd_check_route)
 
     p = sub.add_parser("witness", help="construct the recursive SIR share table")
     common(p)
     p.add_argument("--route", required=True)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("share", help="fair-share ledger for a route")
     common(p)
@@ -427,19 +426,16 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", help="comma-separated split fractions for stages 2..n")
     p.add_argument("--xc", action="store_true",
                    help="use the equal-segment-split scheme instead of --beta")
-    p.set_defaults(func=cmd_share)
 
     p = sub.add_parser("routes", help="enumerate feasible routes")
     common(p)
     p.add_argument("--limit", type=int, help="truncate the returned route list")
     p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP,
                    help="raise the exact-search size cap")
-    p.set_defaults(func=cmd_routes)
 
     p = sub.add_parser("opt-route", help="minimum-distance feasible route")
     common(p)
     p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP)
-    p.set_defaults(func=cmd_opt_route)
 
     p = sub.add_parser("starvation", help="starvation factor report")
     common(p)
@@ -447,14 +443,12 @@ def build_parser() -> _Parser:
     p.add_argument("--check-bounds", action="store_true",
                    help="include regime bound verdicts")
     p.add_argument("--cap-override", type=int, default=search.DEFAULT_CAP)
-    p.set_defaults(func=cmd_starvation)
 
     p = sub.add_parser("allocate", help="assign riders to vehicles at minimum miles")
     common(p)
     p.add_argument("--m-prime", type=int, help="fix the vehicle count")
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle and compare")
-    p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("generate", help="emit a generated instance as JSON")
     common(p, instance=False)
@@ -470,21 +464,44 @@ def build_parser() -> _Parser:
     p.add_argument("--coords", help="points like 0;1;3 or 0,0;3,4 (path-tsp)")
     p.add_argument("--margin", type=float, default=0.01)
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_generate)
 
     return parser
+
+
+def build_parser() -> _Parser:
+    """The argument parser, built once per process: every default is a
+    constant and ``parse_args`` keeps no state between calls."""
+    # a plain function around the cached one, so perfbench's tracer (which wraps
+    # plain functions only) still counts the calls
+    return _parser()
+
+
+def _resolve_tolerance(parser: _Parser, args) -> None:
+    if args.tolerance is None:
+        raw = os.environ.get("SIRSHARE_TOLERANCE")
+        if raw is None:
+            args.tolerance = DEFAULT_REL_TOL
+        else:
+            try:
+                args.tolerance = float(raw)
+            except ValueError:
+                parser.error(f"argument --tolerance: invalid float value: {raw!r}")
+    if not 0.0 <= args.tolerance < math.inf:
+        parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 0.0 <= args.tolerance < math.inf:
-            parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
+        _resolve_tolerance(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+    # looked up on each call, not bound into the long-lived parser, so a wrapped
+    # or patched handler is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except SirshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

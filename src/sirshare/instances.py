@@ -87,6 +87,28 @@ def _tolerances(scale: np.ndarray, rel_tol: float):
     return np.maximum(rel_tol * scale, ABS_FLOOR)
 
 
+def _hard_violations(d: np.ndarray, rel_tol: float) -> list[MetricViolation]:
+    """The O(m^2) part of ``validate_metric``: diagonal, then per pair (a < b)
+    asymmetry before negativity. Any of these makes ``d`` no distance table."""
+    violations: list[MetricViolation] = []
+
+    diag = np.abs(np.diagonal(d))
+    for a in np.flatnonzero(diag > _tolerances(diag, rel_tol)):
+        violations.append(MetricViolation("diagonal", (int(a),), float(diag[a])))
+
+    gap = np.abs(d - d.T)
+    asym = gap > _tolerances(np.maximum(np.abs(d), np.abs(d.T)), rel_tol)
+    neg = d < -_tolerances(np.abs(d), rel_tol)
+    for a, b in zip(*np.nonzero(asym | neg)):
+        if a < b:  # the upper triangle, in row-major order
+            pair = (int(a), int(b))
+            if asym[a, b]:
+                violations.append(MetricViolation("asymmetric", pair, float(gap[a, b])))
+            if neg[a, b]:
+                violations.append(MetricViolation("negative", pair, -float(d[a, b])))
+    return violations
+
+
 def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
     """Report every symmetry, nonnegativity, diagonal, and triangle violation.
 
@@ -105,22 +127,7 @@ def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
     else:
         d = _as_square_matrix(table)
     m = d.shape[0]
-    violations: list[MetricViolation] = []
-
-    diag = np.abs(np.diagonal(d))
-    for a in np.flatnonzero(diag > _tolerances(diag, rel_tol)):
-        violations.append(MetricViolation("diagonal", (int(a),), float(diag[a])))
-
-    gap = np.abs(d - d.T)
-    asym = gap > _tolerances(np.maximum(np.abs(d), np.abs(d.T)), rel_tol)
-    neg = d < -_tolerances(np.abs(d), rel_tol)
-    for a, b in zip(*np.nonzero(asym | neg)):
-        if a < b:  # the upper triangle, in row-major order
-            pair = (int(a), int(b))
-            if asym[a, b]:
-                violations.append(MetricViolation("asymmetric", pair, float(gap[a, b])))
-            if neg[a, b]:
-                violations.append(MetricViolation("negative", pair, -float(d[a, b])))
+    violations = _hard_violations(d, rel_tol)
 
     # Triangle check: d(a,c) <= d(a,b) + d(b,c) for every b distinct from a, c.
     # The tolerance is never negative, so only entries with d(a,c) above the
@@ -152,10 +159,12 @@ class DistanceTable:
     """Symmetric nonnegative distance matrix with a metric flag.
 
     ``entries`` is a read-only copy that passed the table check.
-    ``metric_flag`` asserts the triangle inequality holds; it is computed at
-    construction unless explicitly supplied (generators that prove it by
-    construction pass it directly). ``load_check`` holds the (tolerance,
-    report) of the check ``from_matrix`` ran, for ``metric_report`` to reuse.
+    ``metric_flag`` asserts the triangle inequality holds. Generators that
+    prove it by construction pass it directly, and so does a file that
+    declares it: a declared flag is a claim that ``metric_report`` checks on
+    request. ``from_matrix`` computes it only when it is not supplied, and
+    only then keeps ``load_check``, the (tolerance, report) of that full
+    check, for ``metric_report`` to reuse.
     """
 
     entries: np.ndarray
@@ -187,18 +196,26 @@ class DistanceTable:
     @classmethod
     def from_matrix(cls, entries, metric_flag: bool | None = None,
                     rel_tol: float = DEFAULT_REL_TOL) -> "DistanceTable":
+        """A checked table: a diagonal, asymmetry or negativity violation at
+        ``rel_tol`` raises MalformedInputError. The O(m^3) triangle scan runs
+        only when ``metric_flag`` is not supplied, to compute it."""
         table = cls(entries=entries, metric_flag=False)
-        report = validate_metric(table, rel_tol)
-        hard = [v for v in report.violations if v.kind != "triangle"]
+        if metric_flag is None:
+            report = validate_metric(table, rel_tol)
+            hard = [v for v in report.violations if v.kind != "triangle"]
+            metric_flag, load_check = report.ok, (rel_tol, report)
+        else:
+            check_tolerance(rel_tol)
+            hard, load_check = _hard_violations(table.entries, rel_tol), None
         if hard:
             first = hard[0]
             raise MalformedInputError(
                 f"distance table is not a valid table: {first.kind} violation at {first.indices}"
             )
-        if metric_flag is None:
-            metric_flag = report.ok
-        return cls(entries=table.entries, metric_flag=bool(metric_flag),
-                   load_check=(rel_tol, report))
+        # set on the table just built, so its entries are checked and copied once
+        object.__setattr__(table, "metric_flag", bool(metric_flag))
+        object.__setattr__(table, "load_check", load_check)
+        return table
 
 
 def from_euclidean(coords: Sequence) -> DistanceTable:
@@ -278,6 +295,9 @@ class Instance:
     regime: str = REGIME_FINITE
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise MalformedInputError(f"rider count n must be an integer, not {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise MalformedInputError("instance needs at least one rider")
         if self.dropoff_mode not in (SINGLE, MULTI):
@@ -398,7 +418,7 @@ class Instance:
             table = DistanceTable.from_matrix(data["distance_matrix"], metric_flag=flag)
         return cls(
             dist=table,
-            n=int(n),
+            n=n,
             dropoff_mode=str(data["dropoff_mode"]),
             alpha_op=data["alpha_op"],
             alphas=alphas,

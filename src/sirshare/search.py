@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import MalformedInputError, SizeError, UnsupportedModeError
+from .errors import MalformedInputError, SizeError
 from .instances import Instance, Route
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
 
@@ -246,7 +246,7 @@ def line_metric_verdict(positions: Sequence[float], dropoff: float):
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"line positions must be numbers: {exc}") from None
     if not positions:
-        raise UnsupportedModeError("need at least one pickup position")
+        raise MalformedInputError("need at least one pickup position")
     if not all(math.isfinite(x) for x in positions + [d]):
         raise MalformedInputError("line positions must be finite")
     lo, hi = min(positions), max(positions)

@@ -218,14 +218,37 @@ def test_multi_dropoff_route_tokens(tmp_path, capsys):
 
 
 def test_tolerance_env_override(lb_instance, capsys, monkeypatch):
-    # slightly infeasible route becomes acceptable under a huge tolerance
+    # slightly infeasible route becomes acceptable under a huge tolerance;
+    # the variable is read on each call, not when the parser was built
+    monkeypatch.delenv("SIRSHARE_TOLERANCE", raising=False)
+    argv = ("check-route", lb_instance, "--route", "2,1,3")
+    before, _, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("SIRSHARE_TOLERANCE", "0.5")
-    code, _, _ = run_cli(capsys, "check-route", lb_instance, "--route", "2,1,3")
+    code, _, _ = run_cli(capsys, *argv)
     monkeypatch.delenv("SIRSHARE_TOLERANCE")
-    strict_code, _, _ = run_cli(capsys, "check-route", lb_instance,
-                                "--route", "2,1,3")
-    assert strict_code == 2
-    assert code == 0
+    strict_code, _, _ = run_cli(capsys, *argv)
+    assert (before, code, strict_code) == (2, 0, 2)
+
+
+def test_parser_is_built_once():
+    assert ss.cli.build_parser() is ss.cli.build_parser()
+
+
+def test_flags_do_not_leak_between_calls(lb_instance, tmp_path, capsys):
+    path = tmp_path / "alloc.json"
+    random_euclidean_instance(np.random.default_rng(47), 6).save(path)
+    plain = [("allocate", str(path)), ("check-route", lb_instance, "--route", "2,1,3")]
+    flagged = [("allocate", str(path), "--json", "--m-prime", "6"),
+               ("check-route", lb_instance, "--route", "2,1,3", "--json", "--tolerance", "0.5")]
+    first = [run_cli(capsys, *argv) for argv in plain]
+    after = [run_cli(capsys, *argv) for argv in flagged]
+    again = [run_cli(capsys, *argv) for argv in plain]
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 2]
+    assert [code for code, _, _ in after] == [0, 0]
+    assert json.loads(after[0][1])["m_prime"] == 6
+    assert json.loads(after[1][1])["feasible"] is True
+    assert not first[0][1].startswith("{") and "vehicle(s)" in first[0][1]
 
 
 @pytest.fixture
@@ -336,7 +359,7 @@ def test_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
         return real(table, rel_tol)
 
     monkeypatch.setattr(ss.instances, "validate_metric", counted)
-    for extra, expected_calls in (([], [1e-9]), (["--tolerance", "0"], [1e-9, 0.0])):
+    for extra, expected_calls in (([], [1e-9]), (["--tolerance", "0"], [0.0])):
         calls.clear()
         code, out, _ = run_cli(capsys, "validate", str(path), "--json", *extra)
         assert code == 2  # declared metric, but it is not
@@ -346,3 +369,25 @@ def test_validate_checks_the_table_once(tmp_path, capsys, monkeypatch):
             {"kind": v.kind, "indices": list(v.indices), "excess": v.excess}
             for v in real(d, rel).violations
         ]
+
+
+def test_validate_reuses_the_load_check_of_an_undeclared_flag(tmp_path, capsys, monkeypatch):
+    # no declared flag: the load computes it, and validate reuses that scan at its tolerance
+    d = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps({"n": 2, "dropoff_mode": "single", "distance_matrix": d,
+                                "alpha_op": 1.0, "alphas": [1.0, 1.0], "regime": "finite"}))
+    real = ss.instances.validate_metric
+    calls = []
+
+    def counted(table, rel_tol=ss.numeric.DEFAULT_REL_TOL):
+        calls.append(rel_tol)
+        return real(table, rel_tol)
+
+    monkeypatch.setattr(ss.instances, "validate_metric", counted)
+    for extra, expected_calls in (([], [1e-9]), (["--tolerance", "0"], [1e-9, 0.0])):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "validate", str(path), "--json", *extra)
+        assert code == 0  # computed flag False, so consistent
+        assert calls == expected_calls
+        assert [v["kind"] for v in json.loads(out)["violations"]] == ["triangle"]

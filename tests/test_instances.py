@@ -197,6 +197,48 @@ def test_validate_metric_boundary_is_within_tolerance():
     assert ss.validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.0).ok  # an exact tie
 
 
+def test_declared_metric_flag_load_runs_no_triangle_scan(monkeypatch):
+    planted = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    real = ss.instances.validate_metric
+    calls = []
+
+    def counted(table, rel_tol=ss.numeric.DEFAULT_REL_TOL):
+        calls.append(rel_tol)
+        return real(table, rel_tol)
+
+    monkeypatch.setattr(ss.instances, "validate_metric", counted)
+    declared = ss.DistanceTable.from_matrix(planted, metric_flag=True)
+    assert (calls, declared.metric_flag, declared.load_check) == ([], True, None)
+    # the claim is checked on request, and the hard checks still run at load
+    assert [v.kind for v in declared.metric_report().violations] == ["triangle"]
+    assert calls == [1e-9]
+    with pytest.raises(MalformedInputError, match="asymmetric"):
+        ss.DistanceTable.from_matrix([[0, 1], [2, 0]], metric_flag=True)
+    with pytest.raises(MalformedInputError):
+        ss.DistanceTable.from_matrix([[0, 1], [1, 0]], metric_flag=True, rel_tol=-1.0)
+    calls.clear()
+    computed = ss.DistanceTable.from_matrix(planted)
+    assert calls == [1e-9] and computed.metric_flag is False
+    assert computed.metric_report() is computed.load_check[1]
+    assert calls == [1e-9]
+
+
+def test_from_matrix_checks_and_copies_the_table_once(monkeypatch):
+    real = ss.instances._as_square_matrix
+    seen = []
+
+    def counted(entries):
+        seen.append(type(entries).__name__)
+        return real(entries)
+
+    monkeypatch.setattr(ss.instances, "_as_square_matrix", counted)
+    for flag in (None, True):
+        seen.clear()
+        table = ss.DistanceTable.from_matrix([[0.0, 1.0], [1.0, 0.0]], metric_flag=flag)
+        assert seen == ["list"]
+        assert not table.entries.flags.writeable
+
+
 def test_from_matrix_reports_first_hard_violation():
     # pair (0, 1) is both asymmetric and negative: asymmetry is reported first
     with pytest.raises(MalformedInputError,
@@ -490,6 +532,21 @@ def test_instance_rejects_non_finite_rates(alpha_op, alphas):
     with pytest.raises(MalformedInputError):
         ss.Instance(dist=table, n=2, dropoff_mode="single",
                     alpha_op=alpha_op, alphas=alphas)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.7, "2", None, True, np.float64(2.0)],
+                         ids=["float", "fraction", "string", "none", "bool", "numpy-float"])
+def test_instance_rejects_ill_typed_n(n):
+    table = ss.from_euclidean([0.0, 1.0, 3.0])
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        ss.Instance(dist=table, n=n, dropoff_mode="single", alpha_op=1.0, alphas=(1.0, 1.0))
+
+
+def test_instance_stores_an_integral_n_as_int():
+    table = ss.from_euclidean([0.0, 1.0, 3.0])
+    inst = ss.Instance(dist=table, n=np.int64(2), dropoff_mode="single",
+                       alpha_op=1.0, alphas=(1.0, 1.0))
+    assert type(inst.n) is int and inst.n == 2
 
 
 @pytest.mark.parametrize("field, text", [

@@ -330,6 +330,7 @@ def test_line_verdict_dropoff_on_boundary():
     ([1.0, 2.0], math.nan),
     ([1.0, "x"], 0.0),
     ([1.0, None], 0.0),
+    ([], 0.0),
 ])
 def test_line_verdict_rejects_bad_positions(positions, dropoff):
     with pytest.raises(MalformedInputError):
