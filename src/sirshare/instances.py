@@ -241,6 +241,12 @@ def from_euclidean(coords: Sequence) -> DistanceTable:
 # Instance
 # ---------------------------------------------------------------------------
 
+def _check_integer(what: str, value) -> None:
+    """Raise MalformedInputError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+
+
 def _checked_rates(n: int, alpha_op: float,
                    alphas: Iterable[float]) -> tuple[float, tuple[float, ...]]:
     """The rates as floats, once they fit n riders: a positive, finite operator
@@ -295,8 +301,7 @@ class Instance:
     regime: str = REGIME_FINITE
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise MalformedInputError(f"rider count n must be an integer, not {self.n!r}")
+        _check_integer("rider count n", self.n)
         object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise MalformedInputError("instance needs at least one rider")
@@ -406,8 +411,7 @@ class Instance:
                 "instance JSON must supply exactly one of 'distance_matrix' or 'coords'"
             )
         n, alphas, flag = data["n"], data["alphas"], data.get("metric_flag")
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise MalformedInputError(f"JSON field 'n' must be an integer, not {n!r}")
+        _check_integer("JSON field 'n'", n)
         if not isinstance(alphas, list):
             raise MalformedInputError(f"JSON field 'alphas' must be a list, not {alphas!r}")
         if not isinstance(flag, (bool, type(None))):

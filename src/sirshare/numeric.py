@@ -18,10 +18,15 @@ def check_tolerance(rel: float) -> None:
     """Raise MalformedInputError unless ``rel`` is a usable relative tolerance.
 
     A NaN, infinite or negative tolerance would turn every comparison into
-    a silent verdict, so public entry points reject it up front.
+    a silent verdict, so public entry points reject it up front, and a
+    tolerance that does not compare with numbers (a str, None) as well.
     """
-    if not 0.0 <= rel < math.inf:
-        raise MalformedInputError(f"relative tolerance must be finite and >= 0, got {rel}")
+    try:
+        if 0.0 <= rel < math.inf:
+            return
+    except (TypeError, ValueError):  # a str or None, or an array with no single truth value
+        pass
+    raise MalformedInputError(f"relative tolerance must be finite and >= 0, got {rel!r}")
 
 
 def comparison_tolerance(scale: float, rel: float = DEFAULT_REL_TOL) -> float:

@@ -2,20 +2,23 @@
 
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
-once, from the stage test that ``sir_feasible`` applies to the instance's
-``detour`` and ``budget`` tables: ``ok[j][a]`` is a bitmask of the pickups that
-may board j-th right after pickup a, and each search walks the set bits of
-``ok[j][last]`` that are still free, lowest label first.
+once, in one array comparison of the instance's ``detour`` and ``budget``
+tables under the stage test that ``sir_feasible`` applies:
+``passes[j, a, b-1]`` (``_stage_verdicts``) says whether pickup b may board
+j-th right after pickup a.
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
 - ``opt_sir_route`` is a dynamic program over (set of boarded pickups, last
-  pickup), the recursion of Bellman (1962) and Held & Karp (1962).
+  pickup), the recursion of Bellman (1962) and Held & Karp (1962). It reads
+  the verdicts as bitmasks: bit b-1 of ``ok[j][a]`` is ``passes[j, a, b-1]``.
 - ``starvation.min_route_starvation`` is its backward counterpart over (set
-  of riders still to board, first of them).
-- ``enumerate_sir_routes`` must list every feasible order, so it walks the
-  boarding orders depth first in lexicographic pickup order and cuts a
-  prefix as soon as its last stage fails.
+  of riders still to board, first of them), on the transposed bitmasks.
+- ``enumerate_sir_routes`` must list every feasible order. Every feasible
+  order extends feasible prefixes, so ``_search`` walks the prefixes level
+  by level in blocks of up to ``_BLOCK``, depth first and in lexicographic
+  pickup order, and cuts a prefix as soon as its last stage fails. Memory
+  is O(_BLOCK * n**2) beyond the listed routes.
 
 The optimum and the listing fold a route's distance the same way (hops left
 to right, then the last rider's direct distance), and all three break exact
@@ -28,9 +31,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import MalformedInputError, SizeError
-from .instances import Instance, Route
-from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
+from .instances import Instance, Route, _check_integer
+from .numeric import ABS_FLOOR, DEFAULT_REL_TOL, check_tolerance
 
 DEFAULT_CAP = 10
 
@@ -49,8 +54,12 @@ class SearchResult:
     truncated: bool
 
 
+_BLOCK = 1 << 14  # prefixes that the walk extends in one array step
+
+
 def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
     check_tolerance(rel)
+    _check_integer("the exact-search cap", cap)
     instance.require_single_dropoff("route search")
     if instance.n > cap:
         raise SizeError(
@@ -59,58 +68,80 @@ def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
         )
 
 
-def _stage_table(instance: Instance, rel: float) -> list[list[int]]:
-    """``ok[j][a]``: the pickups that may board j-th right after pickup a.
+def _stage_verdicts(instance: Instance, rel: float) -> np.ndarray:
+    """``passes[j, a, b-1]``: may pickup b board j-th right after pickup a?
 
-    Bit b-1 of ``ok[j][a]`` is set when pickup b may. ``ok[1][0]`` holds
-    every pickup, because anyone may board first.
+    For j >= 2 and a >= 1 a cell is ``approx_leq(detour[a][b], budget[j][b],
+    rel)``, with that tolerance formula applied elementwise. Stage 1 passes
+    only from a = 0, because anyone may board first; every other cell of
+    stage 0, stage 1 and row a = 0 fails.
     """
     n = instance.n
-    detour, budget = instance.detour, instance.budget
-    labels = range(1, n + 1)
-    ok = [[0] * (n + 1) for _ in range(n + 1)]
-    ok[1][0] = (1 << n) - 1
-    for j in range(2, n + 1):
-        cap = budget[j]
-        for a in labels:
-            row = detour[a]
-            ok[j][a] = sum(1 << (b - 1) for b in labels if approx_leq(row[b], cap[b], rel))
-    return ok
+    detour = np.array(instance.detour)[1:, 1:]  # [a-1, b-1]
+    budget = np.array(instance.budget)[2:, None, 1:]  # [j-2, -, b-1]
+    if rel == 0.0:
+        fits = detour <= budget
+    else:
+        with np.errstate(over="ignore"):  # an overflowing slack is inf, as in approx_leq
+            scale = np.maximum(np.abs(detour), np.abs(budget))
+            fits = detour <= budget + np.maximum(rel * scale, ABS_FLOOR)
+    passes = np.zeros((n + 1, n + 1, n), dtype=bool)
+    passes[1, 0] = True
+    passes[2:, 1:] = fits
+    return passes
+
+
+def _masks(bits: np.ndarray) -> list[list[int]]:
+    """A 3-d bool array as nested lists of ints: bit i of ``masks[x][y]`` is
+    ``bits[x, y, i]``."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width, per_row = packed.shape[-1], packed.shape[-2]
+    data = packed.tobytes()
+    flat = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return [flat[k:k + per_row] for k in range(0, len(flat), per_row)]
 
 
 def _search(instance: Instance, rel: float, cap: int,
-            visit: Callable[[tuple[int, ...], float], object]) -> SearchStats:
+            visit: Callable[[np.ndarray, np.ndarray], object]) -> SearchStats:
     """Walk the feasible boarding orders in lexicographic pickup order.
 
-    ``visit(order, distance)`` sees each feasible complete order with its
-    total distance (hops left to right, then the last rider's direct trip).
+    The walk extends blocks of up to ``_BLOCK`` prefixes of one length at a
+    time: one ``np.nonzero`` over the free pickups that pass the next stage
+    lists a block's children in lexicographic order, and blocks are taken
+    depth first. ``visit(orders, distances)`` sees each non-empty block of
+    feasible complete orders, in lexicographic order: ``orders`` is an
+    (m, n) array of pickup labels and ``distances`` their totals (hops left
+    to right, then the last rider's direct trip). Memory is O(_BLOCK * n**2)
+    beyond what ``visit`` keeps.
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
-    hops = [[0.0] * n] + instance.rows[:n]  # the first boarding adds no hop
-    ok = _stage_table(instance, rel)
-    direct = instance.direct
+    passes = _stage_verdicts(instance, rel)
+    hops = np.zeros((n + 1, n))  # hops[a, b-1]; the first boarding adds no hop
+    hops[1:] = instance.dist.entries[:n, :n]
+    direct = np.array(instance.direct)
     nodes = prunes = 0
-    order: list[int] = []
 
-    def dfs(last: int, free: int, partial_dist: float) -> None:
+    def extend(orders: np.ndarray, last: np.ndarray, free: np.ndarray,
+               dist: np.ndarray) -> None:
         nonlocal nodes, prunes
-        nodes += 1
-        if not free:
-            visit(tuple(order), partial_dist + direct[last])
+        nodes += len(dist)
+        stage = orders.shape[1] + 1
+        if stage > n:
+            visit(orders, dist + direct[last])
             return
-        allowed = free & ok[len(order) + 1][last]
-        prunes += (free & ~allowed).bit_count()
-        row = hops[last]
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            b = bit.bit_length()
-            order.append(b)
-            dfs(b, free ^ bit, partial_dist + row[b - 1])
-            order.pop()
+        allowed = free & passes[stage, last]
+        prunes += int(np.count_nonzero(free) - np.count_nonzero(allowed))
+        parents, picks = np.nonzero(allowed)
+        for lo in range(0, len(parents), _BLOCK):
+            parent, pick = parents[lo:lo + _BLOCK], picks[lo:lo + _BLOCK]
+            child_free = free[parent]
+            child_free[np.arange(len(parent)), pick] = False
+            extend(np.column_stack((orders[parent], pick + 1)), pick + 1, child_free,
+                   dist[parent] + hops[last[parent], pick])
 
-    dfs(0, (1 << n) - 1, 0.0)
+    extend(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp),
+           np.ones((1, n), dtype=bool), np.zeros(1))
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
 
 
@@ -132,23 +163,29 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
     """All feasible boarding orders, in lexicographic pickup order.
 
     ``limit`` truncates the returned route list (the minimum-distance route
-    is still taken over everything enumerated; 0 lists none). The walk
-    expands each feasible prefix once, and each listed order costs one tuple
-    concatenation (``Route._single_dropoff_batch``).
+    is still taken over everything enumerated; 0 lists none). The walk is
+    ``_search``'s block walk, so beyond the listed routes it takes
+    O(_BLOCK * n**2) memory; each listed order costs one ``Route``
+    (``Route._single_dropoff_batch``). Exact distance ties keep the first
+    order: ``argmin`` within a block, a strict ``<`` across blocks.
     """
-    if limit is not None and limit < 0:
-        raise MalformedInputError(f"route limit must be >= 0, got {limit}")
+    if limit is not None:
+        _check_integer("route limit", limit)
+        if limit < 0:
+            raise MalformedInputError(f"route limit must be >= 0, got {limit}")
     orders: list[tuple[int, ...]] = []
     found = 0
     best: tuple[tuple[int, ...], float] | None = None
 
-    def visit(order: tuple[int, ...], dist: float) -> None:
+    def visit(block: np.ndarray, dists: np.ndarray) -> None:
         nonlocal found, best
-        found += 1
-        if limit is None or len(orders) < limit:
-            orders.append(order)
-        if best is None or dist < best[1]:
-            best = (order, dist)
+        found += len(dists)
+        room = len(dists) if limit is None else limit - len(orders)
+        if room > 0:
+            orders.extend(map(tuple, block[:room].tolist()))
+        i = int(dists.argmin())
+        if best is None or dists[i] < best[1]:
+            best = (tuple(block[i].tolist()), float(dists[i]))
 
     stats = _search(instance, rel, cap, visit)
     return SearchResult(
@@ -195,7 +232,7 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     _check_searchable(instance, cap, rel)
     n = instance.n
     rows = instance.rows
-    ok = _stage_table(instance, rel)
+    ok = _masks(_stage_verdicts(instance, rel))
     slack = _rounding_slack(instance)
     full = (1 << n) - 1
     # states[mask][last]: labels of the feasible orders of ``mask`` ending at ``last``

@@ -24,7 +24,14 @@ from .instances import (
     _stage_denominators,
 )
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
-from .search import DEFAULT_CAP, _check_searchable, _rounding_slack, _search, _stage_table
+from .search import (
+    DEFAULT_CAP,
+    _check_searchable,
+    _masks,
+    _rounding_slack,
+    _search,
+    _stage_verdicts,
+)
 
 
 @dataclass(frozen=True)
@@ -136,14 +143,14 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
     direct = instance.direct
     if min(direct[1:]) <= 0.0:
         _search(instance, rel, cap,
-                lambda order, dist: _per_passenger_factors(instance, order))
+                lambda orders, dists: _per_passenger_factors(instance, orders[0].tolist()))
         return None
     rows = instance.rows
     slack = _rounding_slack(instance)
     full = (1 << n) - 1
     # before[j][b]: the pickups a after which b may board j-th, as a bitmask
-    before = [[0] + [sum(1 << (a - 1) for a in range(1, n + 1) if stage[a] >> (b - 1) & 1)
-                     for b in range(1, n + 1)] for stage in _stage_table(instance, rel)]
+    before = [[0] + row
+              for row in _masks(_stage_verdicts(instance, rel)[:, 1:].transpose(0, 2, 1))]
     # states[suffix][first]: labels of the feasible orders of ``suffix`` starting at ``first``
     states: list[dict[int, list] | None] = [None] * (full + 1)
     for f in range(1, n + 1):

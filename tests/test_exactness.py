@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 import sirshare as ss
+from sirshare import search
+from sirshare.numeric import approx_leq
 
 from corpus import (
     random_euclidean_instance,
     random_feasible_instance,
+    random_line_positions,
     random_multi_instance,
     random_multi_route,
     with_regime,
@@ -85,6 +88,32 @@ def test_sir_feasible_stages_equal_detour_and_budget(regime):
                     assert s.rhs == 0.0
                 else:
                     assert s.rhs == sd_b / (1.0 + prefix[s.stage - 1] / aop)
+
+
+# 1e308 overflows the slack to inf, which approx_leq reads as "always fits"
+@pytest.mark.parametrize("rel", [1e-9, 0.0, 1e308], ids=["default", "exact", "overflowing"])
+def test_stage_verdicts_equal_approx_leq_per_cell(rel):
+    rng = np.random.default_rng(12)
+    corpus = []
+    for n in range(1, 9):
+        base = random_euclidean_instance(rng, n, alpha_low=0.2)
+        corpus += [base, with_regime(base, "zero"), with_regime(base, "infinite"),
+                   ss.generate_lower_bound_instance(n),  # stages exactly on budget
+                   ss.generate_sqrt_tight_instance(n),
+                   ss.generate_exp_tight_instance(n),  # vanishing weights
+                   # collinear stops leave detours of a few ulps, which only the floor admits
+                   with_regime(ss.line_instance(*random_line_positions(rng, n, False)),
+                               "infinite")]
+    assert {inst.regime for inst in corpus} == {"finite", "zero", "infinite"}
+    for inst in corpus:
+        n = inst.n
+        expected = np.zeros((n + 1, n + 1, n), dtype=bool)
+        expected[1, 0] = True  # anyone may board first; stage 1 has no detour test
+        for j, a, b in itertools.product(range(2, n + 1), range(1, n + 1), range(1, n + 1)):
+            expected[j, a, b - 1] = approx_leq(inst.detour[a][b], inst.budget[j][b], rel)
+        passes = search._stage_verdicts(inst, rel)
+        assert passes.dtype == bool
+        np.testing.assert_array_equal(passes, expected, err_msg=f"n={n} {inst.regime}")
 
 
 def single_dropoff_cells(instance, order):

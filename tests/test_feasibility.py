@@ -380,7 +380,8 @@ def test_equivalence_multi_dropoff_general_form():
 # tolerance validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
+                         ids=["nan", "inf", "negative", "str", "none"])
 @pytest.mark.parametrize("check", [
     lambda inst, route, rel: ss.sir_feasible(inst, route, rel=rel),
     lambda inst, route, rel: ss.starvation_report(inst, route, rel=rel),
@@ -394,7 +395,8 @@ def test_entry_points_reject_bad_tolerance(check, rel):
         check(inst, route, rel)
 
 
-@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
+                         ids=["nan", "inf", "negative", "str", "none"])
 @pytest.mark.parametrize("check", [
     lambda inst, route, table, rel: ss.is_sir(inst, route, table, rel=rel),
     lambda inst, route, table, rel: ss.is_ir(inst, route, table, rel=rel),

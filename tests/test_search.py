@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sirshare as ss
+from sirshare import search as search_module
 from sirshare.errors import MalformedInputError, SizeError, UnsupportedModeError
 from sirshare.numeric import DEFAULT_REL_TOL
 
@@ -24,6 +26,11 @@ def unpruned_feasible_set(instance, rel=DEFAULT_REL_TOL):
         if ss.sir_feasible(instance, ss.Route.single_dropoff(perm), rel=rel).feasible:
             out.append(perm)
     return out
+
+
+every_search = pytest.mark.parametrize(
+    "search", [ss.enumerate_sir_routes, ss.opt_sir_route, ss.min_route_starvation],
+    ids=["enumerate", "opt", "min_starvation"])
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +161,94 @@ def test_enumerate_prune_stats_reported():
     inst = ss.reduce_hampath(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     result = ss.enumerate_sir_routes(inst)
     assert result.stats == ss.SearchStats(nodes_expanded=26, prunes=40)
+    assert type(result.stats.nodes_expanded) is int and type(result.stats.prunes) is int
     # truncating the listing does not truncate the walk
     assert ss.enumerate_sir_routes(inst, limit=1).stats == result.stats
 
 
-@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("search", [ss.enumerate_sir_routes, ss.opt_sir_route,
-                                    ss.min_route_starvation],
-                         ids=["enumerate", "opt", "min_starvation"])
+def search_outcomes(rel):
+    """Everything the searches report on the scan corpus, distances as repr."""
+    out = []
+    for inst in _scan_corpus():
+        for limit in (None, 2):
+            result = ss.enumerate_sir_routes(inst, limit=limit, rel=rel)
+            optimal = result.optimal and (result.optimal[0], repr(result.optimal[1]))
+            out.append((result.routes, optimal, result.stats, result.truncated))
+        best = ss.opt_sir_route(inst, rel=rel)
+        out.append(best and (best[0], repr(best[1])))
+        try:
+            out.append(ss.min_route_starvation(inst, rel=rel))
+        except ss.SirshareError as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_block_boundaries_change_nothing(monkeypatch, block):
+    expected = {rel: search_outcomes(rel) for rel in (DEFAULT_REL_TOL, 0.0)}
+    monkeypatch.setattr(search_module, "_BLOCK", block)
+    for rel, outcomes in expected.items():
+        assert search_outcomes(rel) == outcomes, rel
+
+
+def test_exact_ties_keep_the_first_order_across_blocks(monkeypatch):
+    inst = ss.reduce_hampath(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    rows = inst.rows
+    lengths = {sum(rows[a - 1][b - 1] for a, b in zip(p, p[1:])) + inst.direct[p[-1]]
+               for p in itertools.permutations(range(1, 5))}
+    assert len(lengths) == 1  # every boarding order ties exactly
+    monkeypatch.setattr(search_module, "_BLOCK", 1)  # each complete order is its own block
+    result = ss.enumerate_sir_routes(inst)
+    assert len(result.routes) == 24
+    assert result.optimal[0].pickup_order == (1, 2, 3, 4)
+    assert result.optimal == ss.opt_sir_route(inst)
+
+
+def test_count_only_walk_memory_is_bounded():
+    # a walk that held a whole level at once would peak near 120 MB here
+    rng = np.random.default_rng(0)
+    inst = ss.reduce_path_tsp(ss.from_euclidean(rng.uniform(0.0, 10.0, size=(9, 2)).tolist()))
+    tracemalloc.start()
+    try:
+        result = ss.enumerate_sir_routes(inst, limit=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats == ss.SearchStats(nodes_expanded=986_410, prunes=0)
+    assert peak < 22 * 2**20  # 10.6 MB measured at _BLOCK = 2**14
+
+
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
+                         ids=["nan", "inf", "negative", "str", "none"])
+@every_search
 def test_search_rejects_bad_tolerance(search, rel):
     inst = ss.generate_sqrt_tight_instance(5)  # 8 feasible boarding orders
     with pytest.raises(MalformedInputError):
         search(inst, rel=rel)
+
+
+@pytest.mark.parametrize("cap", [None, "10", 10.0, True], ids=["none", "str", "float", "bool"])
+@every_search
+def test_search_rejects_ill_typed_cap(search, cap):
+    inst = ss.generate_sqrt_tight_instance(5)
+    with pytest.raises(MalformedInputError, match="cap must be an integer"):
+        search(inst, cap=cap)
+
+
+@pytest.mark.parametrize("limit", ["3", 2.5, True], ids=["str", "float", "bool"])
+def test_enumerate_rejects_ill_typed_limit(limit):
+    inst = ss.generate_sqrt_tight_instance(5)
+    with pytest.raises(MalformedInputError, match="route limit must be an integer"):
+        ss.enumerate_sir_routes(inst, limit=limit)
+
+
+def test_search_accepts_numpy_integer_cap_and_limit():
+    inst = ss.generate_sqrt_tight_instance(5)
+    cut = ss.enumerate_sir_routes(inst, limit=np.int64(2), cap=np.int64(5))
+    assert cut.routes == ss.enumerate_sir_routes(inst).routes[:2] and cut.truncated
+    assert ss.opt_sir_route(inst, cap=np.int64(5)) == ss.opt_sir_route(inst)
+    with pytest.raises(SizeError):
+        ss.min_route_starvation(inst, cap=np.int64(4))
 
 
 # ---------------------------------------------------------------------------
