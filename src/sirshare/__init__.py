@@ -3,18 +3,14 @@
 Feasibility of boarding orders under nonincreasing-disutility cost sharing,
 construction of witness and proportionally fair share tables, starvation
 factor bounds, exact route search at desk scale, and polynomial allocation
-of order-constrained riders to vehicles: one matching pass, checked by a
-dual certificate, with the paper's min-cost flow kept as an independent
-check.
+of order-constrained riders to vehicles by min-cost flow: one
+successive-shortest-paths pass over the chaining matrix, checked by a dual
+certificate.
 """
 
 from .allocation import (
     Allocation,
-    FlowNetwork,
     brute_force_allocation,
-    build_network,
-    extract_allocation,
-    min_cost_max_flow,
     optimal_allocation,
 )
 from .errors import (

@@ -12,16 +12,17 @@ c(u, v) = d(u, v) - d(u, D).
 Successive shortest paths on that matrix hold, after t augmentations, the
 cheapest matching of t legs, and the path lengths never decrease. So one
 pass serves every vehicle count: a sweep stops at the first path that would
-add miles, a fixed count m' after n - m' augmentations. The paper's
-formulation, min-cost max-flow for a guessed m' on a DAG of 2n + 3 nodes
-(``build_network``, ``min_cost_max_flow``, ``extract_allocation``), stays
-public as an independent check, and a set-partition brute force serves as
-the desk-scale oracle.
+add miles, a fixed count m' after n - m' augmentations. The pass is itself
+min-cost flow, solved by successive shortest paths with potentials
+(Tomizawa 1971; Edmonds & Karp 1972), on the bipartite form of the paper's
+network. The paper's own formulation, min-cost max-flow for a guessed m' on
+a DAG of 2n + 3 nodes, lives in ``tests/flow_oracle.py`` as the independent
+check of this pass; the set-partition brute force below is the desk-scale
+oracle that ``sirshare allocate --oracle`` runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -38,54 +39,6 @@ _ROUNDING = 2.0 ** -40
 
 
 @dataclass(frozen=True)
-class FlowNetwork:
-    """DAG flow network for one vehicle-count guess.
-
-    Node ids: source 0, rider u's entry 2u-1 and exit 2u, dropoff 2n+1,
-    sink 2n+2. ``edges`` are (tail, head, cost, capacity) in construction
-    order. Chaining rider u before v costs d(u, v) - ``big_L``, where
-    ``big_L`` is three times the largest table entry, or 1.0 when every
-    entry is 0; either way it exceeds twice every distance, so covering
-    every rider is always cheapest.
-    """
-
-    n: int
-    m_prime: int
-    big_L: float
-    edges: tuple[tuple[int, int, float, int], ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return 2 * self.n + 3
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return 2 * self.n + 2
-
-    @property
-    def dropoff(self) -> int:
-        return 2 * self.n + 1
-
-    def entry(self, u: int) -> int:
-        return 2 * u - 1
-
-    def exit(self, u: int) -> int:
-        return 2 * u
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    value: int
-    cost: float
-    flows: tuple[int, ...]  # aligned with FlowNetwork.edges
-    disconnected: bool = False
-
-
-@dataclass(frozen=True)
 class Allocation:
     """Vehicles as increasing rider subsequences covering 1..n."""
 
@@ -95,190 +48,6 @@ class Allocation:
     @property
     def m_prime(self) -> int:
         return len(self.vehicles)
-
-
-def _check_allocatable(instance: Instance, m_prime: int | None) -> None:
-    instance.require_single_dropoff("allocation")
-    if m_prime is not None and not 1 <= m_prime <= instance.n:
-        raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{instance.n}")
-
-
-def _big_l(rows) -> float:
-    # max over pickups and the dropoff; 3x leaves margin over the required 2x,
-    # and an all-zero table still needs a positive reward for chaining
-    return 3.0 * max(max(r) for r in rows) or 1.0
-
-
-def build_network(instance: Instance, m_prime: int) -> FlowNetwork:
-    _check_allocatable(instance, m_prime)
-    n = instance.n
-    rows = instance.rows
-    big_l = _big_l(rows)
-
-    net = FlowNetwork(n=n, m_prime=m_prime, big_L=big_l, edges=())
-    edges: list[tuple[int, int, float, int]] = []
-    for u in range(1, n + 1):
-        edges.append((net.entry(u), net.exit(u), 0.0, 1))
-    for u in range(1, n + 1):
-        edges.append((net.source, net.entry(u), 0.0, 1))
-    for u in range(1, n + 1):
-        edges.append((net.exit(u), net.dropoff, rows[u - 1][n], 1))
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            edges.append((net.exit(u), net.entry(v), rows[u - 1][v - 1] - big_l, 1))
-    edges.append((net.dropoff, net.sink, 0.0, m_prime))
-    return FlowNetwork(n=n, m_prime=m_prime, big_L=big_l, edges=tuple(edges))
-
-
-def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
-    """Integral min-cost max-flow by successive shortest paths.
-
-    Node ids ascend along every edge, so one relaxation pass in id order
-    yields exact shortest distances despite the negative chaining costs;
-    those seed the potentials, after which every Dijkstra runs on
-    nonnegative reduced costs. Augmenting paths are chosen smallest-node
-    first among equals, making the flow deterministic. The run stops at
-    value m' or when the sink becomes unreachable.
-    """
-    num = network.num_nodes
-    s, t = network.source, network.sink
-
-    # residual graph: per edge store [head, remaining_cap, cost, index_of_twin]
-    graph: list[list[list]] = [[] for _ in range(num)]
-    forward_ref: list[tuple[int, int]] = []
-    for tail, head, cost, cap in network.edges:
-        graph[tail].append([head, cap, cost, len(graph[head])])
-        graph[head].append([tail, 0, -cost, len(graph[tail]) - 1])
-        forward_ref.append((tail, len(graph[tail]) - 1))
-
-    inf = math.inf
-    pot = [inf] * num
-    pot[s] = 0.0
-    for u in range(num):  # ids are topologically ordered by construction
-        if pot[u] == inf:
-            continue
-        for head, cap, cost, _ in graph[u]:
-            if cap > 0 and pot[u] + cost < pot[head]:
-                pot[head] = pot[u] + cost
-
-    flow_value = 0
-    while flow_value < network.m_prime:
-        dist = [inf] * num
-        dist[s] = 0.0
-        prev: list[tuple[int, int] | None] = [None] * num
-        settled = [False] * num
-        heap = [(0.0, s)]
-        while heap:
-            d_u, u = heapq.heappop(heap)
-            if settled[u]:
-                continue
-            # a settled node is final: rounding can leave a reduced cost a
-            # hair below 0, and reopening nodes could close a loop in prev
-            settled[u] = True
-            for ei, (head, cap, cost, _) in enumerate(graph[u]):
-                if cap <= 0 or pot[head] == inf or settled[head]:
-                    continue
-                nd = d_u + cost + pot[u] - pot[head]
-                if nd < dist[head]:
-                    dist[head] = nd
-                    prev[head] = (u, ei)
-                    heapq.heappush(heap, (nd, head))
-        if dist[t] == inf:
-            break
-        for v in range(num):
-            if dist[v] < inf:
-                pot[v] += dist[v]
-        # bottleneck along the augmenting path
-        push = math.inf
-        v = t
-        while v != s:
-            u, ei = prev[v]
-            push = min(push, graph[u][ei][1])
-            v = u
-        push = int(push)
-        v = t
-        while v != s:
-            u, ei = prev[v]
-            edge = graph[u][ei]
-            edge[1] -= push
-            graph[edge[0]][edge[3]][1] += push
-            v = u
-        flow_value += push
-
-    flows = tuple(
-        network.edges[k][3] - graph[u][ei][1] for k, (u, ei) in enumerate(forward_ref)
-    )
-    cost = sum(f * e[2] for f, e in zip(flows, network.edges))
-    return FlowResult(value=flow_value, cost=cost, flows=flows,
-                      disconnected=flow_value < network.m_prime)
-
-
-def extract_allocation(network: FlowNetwork, flow: FlowResult,
-                       rel: float = DEFAULT_REL_TOL) -> Allocation:
-    """Contract the unit flow paths into vehicle subsequences.
-
-    Asserts the structure an optimal flow must have rather than assuming
-    it: exactly m' vertex-disjoint source-to-dropoff paths that jointly
-    cover every rider, and a flow cost that differs from the allocation's
-    vehicle-miles by exactly (n - m') * L. The miles are read off the edge
-    costs (chaining legs plus ``big_L``), so the check shares no arithmetic
-    with the solver.
-    """
-    check_tolerance(rel)
-    if flow.disconnected:
-        raise FlowExtractionError("flow did not reach the sink; network is malformed")
-    n = network.n
-    starts: list[int] = []
-    next_of: dict[int, int | None] = {}
-    entry_units = [0] * (n + 1)
-    cost_to_drop = {}
-    cost_between = {}
-    for (tail, head, cost, _), f in zip(network.edges, flow.flows):
-        if tail == network.source:
-            if f:
-                starts.append((head + 1) // 2)
-                entry_units[(head + 1) // 2] += f
-        elif head == network.dropoff:
-            cost_to_drop[tail // 2] = cost
-            if f:
-                next_of[tail // 2] = None
-        elif tail % 2 == 0 and head % 2 == 1:
-            u, v = tail // 2, (head + 1) // 2
-            cost_between[(u, v)] = cost + network.big_L
-            if f:
-                next_of[u] = v
-                entry_units[v] += f
-    for u in range(1, n + 1):
-        if entry_units[u] != 1:
-            raise FlowExtractionError(
-                f"rider {u} receives {entry_units[u]} units of flow; an optimal "
-                "flow routes exactly one unit through every rider"
-            )
-    if len(starts) != flow.value:
-        raise FlowExtractionError(
-            f"{len(starts)} paths leave the source but flow value is {flow.value}"
-        )
-
-    vehicles = []
-    covered = 0
-    total = 0.0
-    for u in sorted(starts):
-        chain = [u]
-        while next_of.get(chain[-1]) is not None:
-            total += cost_between[(chain[-1], next_of[chain[-1]])]
-            chain.append(next_of[chain[-1]])
-        total += cost_to_drop[chain[-1]]
-        covered += len(chain)
-        vehicles.append(tuple(chain))
-    if covered != n:
-        raise FlowExtractionError(f"paths cover {covered} riders, expected {n}")
-
-    implied = flow.cost + (n - network.m_prime) * network.big_L
-    if abs(total - implied) > comparison_tolerance(max(abs(total), abs(implied)), rel):
-        raise FlowExtractionError(
-            f"vehicle-miles {total:.12g} disagree with flow cost identity {implied:.12g}"
-        )
-    return Allocation(vehicles=tuple(vehicles), total_miles=total)
 
 
 class _Matching:
@@ -431,20 +200,25 @@ def optimal_allocation(instance: Instance, m_prime: int | None = None,
     ``_Matching``) serves both. The sweep stops at the first augmenting path
     longer than the tolerance, since later counts only cost more; exact ties
     keep fewer vehicles. A fixed count stops after n - m' augmentations.
-    ``total_miles`` folds the legs as ``extract_allocation`` does, so where
-    the cheapest allocation of a count is unique the result is ``==`` to the
-    flow's on the m' network; among allocations that tie exactly, the two
-    may pick different ones. Every result is checked by the potentials' dual
-    certificate (``_Matching.certify``); ``rel`` sets its slack and the
-    sweep's tie window, relative to n * L.
+    ``total_miles`` folds each chaining leg as (d - L) + L, as the paper's
+    flow network costs it, so where the cheapest allocation of a count is
+    unique the result is ``==`` to that flow's on the m' network; among
+    allocations that tie exactly, the two may pick different ones. Every
+    result is checked by the potentials' dual certificate
+    (``_Matching.certify``); ``rel`` sets its slack and the sweep's tie
+    window, relative to n * L.
 
     Cost: O(n) augmentations of O(n^2) numpy work each, O(n^2) memory.
     """
     check_tolerance(rel)
-    _check_allocatable(instance, m_prime)
+    instance.require_single_dropoff("allocation")
     n = instance.n
+    if m_prime is not None and not 1 <= m_prime <= n:
+        raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
     rows = instance.rows
-    big_l = _big_l(rows)
+    # L as the paper's flow network sets it: 3x the largest entry (margin over
+    # the 2x it needs), or 1.0 for an all-zero table; the miles fold with it
+    big_l = 3.0 * max(max(r) for r in rows) or 1.0
     tol = max(comparison_tolerance(n * big_l, rel), n * big_l * _ROUNDING)
     matching = _Matching(_chaining_matrix(instance))
 

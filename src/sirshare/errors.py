@@ -54,4 +54,4 @@ class BudgetBalanceError(SirshareError):
 
 
 class FlowExtractionError(SirshareError):
-    """A solved flow violates the structure an optimal flow must have."""
+    """An allocation's matching fails its dual optimality certificate."""

@@ -71,7 +71,7 @@ def _as_square_matrix(entries) -> np.ndarray:
     """The table check: outside input as a square, finite float array."""
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
         raise MalformedInputError(f"distance table is not a matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MalformedInputError(f"distance table must be square, got shape {arr.shape}")
@@ -226,7 +226,7 @@ def from_euclidean(coords: Sequence) -> DistanceTable:
     """
     try:
         pts = np.array([np.atleast_1d(c) for c in coords], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
         raise MalformedInputError(f"coordinates are not points of one dimension: {exc}") from None
     if pts.ndim != 2:
         raise MalformedInputError(f"coordinates must be a list of points, got shape {pts.shape}")

@@ -8,6 +8,8 @@ inputs are exact, e.g. dyadic rationals).
 
 import math
 
+import numpy as np
+
 from .errors import MalformedInputError
 
 DEFAULT_REL_TOL = 1e-9
@@ -19,10 +21,12 @@ def check_tolerance(rel: float) -> None:
 
     A NaN, infinite or negative tolerance would turn every comparison into
     a silent verdict, so public entry points reject it up front, and a
-    tolerance that does not compare with numbers (a str, None) as well.
+    tolerance that does not compare with numbers (a str, None) as well. A
+    bool (Python's or numpy's) compares as 0 or 1, so ``rel=True`` would
+    pass as a 100% slack; it is rejected too.
     """
     try:
-        if 0.0 <= rel < math.inf:
+        if not isinstance(rel, (bool, np.bool_)) and 0.0 <= rel < math.inf:
             return
     except (TypeError, ValueError):  # a str or None, or an array with no single truth value
         pass

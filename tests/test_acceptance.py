@@ -291,7 +291,7 @@ def test_criterion_8_allocation():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         inst = random_euclidean_instance(rng, n)
-        fast = ss.optimal_allocation(inst)  # extraction asserts the flow structure
+        fast = ss.optimal_allocation(inst)  # the dual certificate checks every count it weighs
         oracle = ss.brute_force_allocation(inst)
         if abs(fast.total_miles - oracle.total_miles) > 1e-9 * max(1.0, oracle.total_miles):
             failures.append((n, fast.total_miles, oracle.total_miles))

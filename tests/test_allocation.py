@@ -8,6 +8,14 @@ from sirshare import allocation
 from sirshare.errors import FlowExtractionError, MalformedInputError, SizeError
 
 from corpus import random_euclidean_instance
+from flow_oracle import (
+    FlowResult,
+    build_network,
+    extract_allocation,
+    flow_allocation,
+    min_cost_max_flow,
+    per_count_reference,
+)
 
 
 def line_example():
@@ -21,7 +29,7 @@ def line_example():
 
 def test_network_n1_shape():
     inst = ss.line_instance([4.0], 0.0)
-    net = ss.build_network(inst, 1)
+    net = build_network(inst, 1)
     assert net.num_nodes == 5
     assert len(net.edges) == 4
     tails_heads = [(t, h) for t, h, _, _ in net.edges]
@@ -35,7 +43,7 @@ def test_network_n1_shape():
 
 def test_network_n3_ordered_pair_edges():
     inst = line_example()
-    net = ss.build_network(inst, 2)
+    net = build_network(inst, 2)
     chain_edges = [
         (t, h, c) for t, h, c, _ in net.edges
         if t % 2 == 0 and t != net.source and h % 2 == 1 and h != net.dropoff
@@ -47,7 +55,7 @@ def test_network_n3_ordered_pair_edges():
 
 def test_network_big_l_dominates():
     for inst in (line_example(), ss.line_instance([0.0, 0.0], 0.0)):
-        net = ss.build_network(inst, 1)
+        net = build_network(inst, 1)
         maxdist = float(inst.dist.entries.max())
         assert net.big_L > 2.0 * maxdist
 
@@ -55,9 +63,9 @@ def test_network_big_l_dominates():
 def test_network_m_prime_out_of_range():
     inst = line_example()
     with pytest.raises(MalformedInputError):
-        ss.build_network(inst, 0)
+        build_network(inst, 0)
     with pytest.raises(MalformedInputError):
-        ss.build_network(inst, 4)
+        build_network(inst, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -66,54 +74,54 @@ def test_network_m_prime_out_of_range():
 
 def test_flow_n1_cost():
     inst = ss.line_instance([4.0], 0.0)
-    net = ss.build_network(inst, 1)
-    result = ss.min_cost_max_flow(net)
+    net = build_network(inst, 1)
+    result = min_cost_max_flow(net)
     assert result.value == 1
     assert result.cost == pytest.approx(4.0)
 
 
 def test_flow_line_example_cost_identity():
     inst = line_example()
-    net = ss.build_network(inst, 2)
-    result = ss.min_cost_max_flow(net)
+    net = build_network(inst, 2)
+    result = min_cost_max_flow(net)
     assert result.value == 2
     assert result.cost == pytest.approx(10.0 - net.big_L)
 
 
 def test_extract_line_example():
     inst = line_example()
-    net = ss.build_network(inst, 2)
-    alloc = ss.extract_allocation(net, ss.min_cost_max_flow(net))
+    net = build_network(inst, 2)
+    alloc = extract_allocation(net, min_cost_max_flow(net))
     assert alloc.vehicles == ((1, 3), (2,))
     assert alloc.total_miles == pytest.approx(10.0)
 
 
 def test_extract_n1():
     inst = ss.line_instance([4.0], 0.0)
-    net = ss.build_network(inst, 1)
-    alloc = ss.extract_allocation(net, ss.min_cost_max_flow(net))
+    net = build_network(inst, 1)
+    alloc = extract_allocation(net, min_cost_max_flow(net))
     assert alloc.vehicles == ((1,),)
     assert alloc.total_miles == pytest.approx(4.0)
 
 
 def test_extract_n2_two_vehicles_forced():
     inst = ss.line_instance([3.0, 7.0], 0.0)
-    net = ss.build_network(inst, 2)
-    alloc = ss.extract_allocation(net, ss.min_cost_max_flow(net))
+    net = build_network(inst, 2)
+    alloc = extract_allocation(net, min_cost_max_flow(net))
     assert alloc.vehicles == ((1,), (2,))
     assert alloc.total_miles == pytest.approx(10.0)
 
 
 def test_extract_rejects_tampered_flow():
     inst = line_example()
-    net = ss.build_network(inst, 2)
-    result = ss.min_cost_max_flow(net)
-    zeroed = ss.allocation.FlowResult(
+    net = build_network(inst, 2)
+    result = min_cost_max_flow(net)
+    zeroed = FlowResult(
         value=result.value, cost=result.cost,
         flows=tuple(0 for _ in result.flows),
     )
     with pytest.raises(FlowExtractionError):
-        ss.extract_allocation(net, zeroed)
+        extract_allocation(net, zeroed)
 
 
 def test_flow_paths_vertex_disjoint_cover():
@@ -124,10 +132,10 @@ def test_flow_paths_vertex_disjoint_cover():
         n = int(rng.integers(2, 8))
         inst = random_euclidean_instance(rng, n)
         for m_prime in range(1, n + 1):
-            net = ss.build_network(inst, m_prime)
-            flow = ss.min_cost_max_flow(net)
+            net = build_network(inst, m_prime)
+            flow = min_cost_max_flow(net)
             assert flow.value == m_prime
-            alloc = ss.extract_allocation(net, flow)
+            alloc = extract_allocation(net, flow)
             assert alloc.m_prime == m_prime
             assert sorted(u for veh in alloc.vehicles for u in veh) == \
                 list(range(1, n + 1))
@@ -189,17 +197,6 @@ def test_optimal_matches_brute_force_small():
         assert fast.vehicles == oracle.vehicles
 
 
-def per_count_reference(inst):
-    # one flow per vehicle count, cheapest kept, first count winning ties
-    best = None
-    for m_prime in range(1, inst.n + 1):
-        net = ss.build_network(inst, m_prime)
-        alloc = ss.extract_allocation(net, ss.min_cost_max_flow(net))
-        if best is None or alloc.total_miles < best.total_miles:
-            best = alloc
-    return best
-
-
 def test_optimal_matches_per_count_flows():
     rng = np.random.default_rng(37)
     for n in list(range(1, 21)) + [int(k) for k in rng.integers(10, 21, size=10)]:
@@ -211,8 +208,8 @@ def test_optimal_exact_tie_keeps_fewer_vehicles():
     # riders 1 and 2 coincide and rider 3 waits at the dropoff, so one
     # vehicle and two vehicles both cost exactly 2.0
     inst = ss.line_instance([2.0, 2.0, 0.0], 0.0)
-    net = ss.build_network(inst, 2)
-    two = ss.extract_allocation(net, ss.min_cost_max_flow(net))
+    net = build_network(inst, 2)
+    two = extract_allocation(net, min_cost_max_flow(net))
     alloc = ss.optimal_allocation(inst)
     assert two.total_miles == alloc.total_miles == 2.0
     assert alloc.vehicles == ((1, 2, 3),)
@@ -222,11 +219,6 @@ def test_optimal_exact_tie_keeps_fewer_vehicles():
 # ---------------------------------------------------------------------------
 # fixed vehicle counts and the matching pass's certificate
 # ---------------------------------------------------------------------------
-
-def flow_allocation(inst, m_prime):
-    net = ss.build_network(inst, m_prime)
-    return ss.extract_allocation(net, ss.min_cost_max_flow(net))
-
 
 def best_with_count(inst, m_prime):
     # cheapest miles over every partition of the riders into m_prime vehicles

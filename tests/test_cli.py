@@ -303,8 +303,10 @@ def test_bad_input_exits_one_with_error(env, argv, lb_instance, lb4_instance, ca
     ("coords", [[0.0, 0.0], [1.0], [2.0, 0.0]]),
     ("coords", [0.0, "x", 2.0]),
     ("coords", [1e200, -1e200, 0.0]),
+    ("distance_matrix", [[0, 1, 10**400], [1, 0, 1], [10**400, 1, 0]]),
+    ("coords", [10**400, 0, 1]),
 ], ids=["ragged-matrix", "text-in-matrix", "ragged-coords", "text-in-coords",
-        "overflowing-coords"])
+        "overflowing-coords", "huge-int-in-matrix", "huge-int-in-coords"])
 def test_validate_rejects_malformed_table(field, value, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "dropoff_mode": "single", field: value,

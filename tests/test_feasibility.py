@@ -380,8 +380,8 @@ def test_equivalence_multi_dropoff_general_form():
 # tolerance validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
-                         ids=["nan", "inf", "negative", "str", "none"])
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None, True, np.True_],
+                         ids=["nan", "inf", "negative", "str", "none", "bool", "numpy-bool"])
 @pytest.mark.parametrize("check", [
     lambda inst, route, rel: ss.sir_feasible(inst, route, rel=rel),
     lambda inst, route, rel: ss.starvation_report(inst, route, rel=rel),
@@ -395,8 +395,8 @@ def test_entry_points_reject_bad_tolerance(check, rel):
         check(inst, route, rel)
 
 
-@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
-                         ids=["nan", "inf", "negative", "str", "none"])
+@pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None, True, np.True_],
+                         ids=["nan", "inf", "negative", "str", "none", "bool", "numpy-bool"])
 @pytest.mark.parametrize("check", [
     lambda inst, route, table, rel: ss.is_sir(inst, route, table, rel=rel),
     lambda inst, route, table, rel: ss.is_ir(inst, route, table, rel=rel),
@@ -405,12 +405,9 @@ def test_entry_points_reject_bad_tolerance(check, rel):
     lambda inst, route, table, rel: ss.xc_table(inst, route, rel=rel),
     lambda inst, route, table, rel: ss.beta_fair_table(inst, route, [0.5], rel=rel),
     lambda inst, route, table, rel: ss.verify_fairness_ratios(inst, route, table, [0.5], rel=rel),
-    lambda inst, route, table, rel: ss.extract_allocation(
-        ss.build_network(inst, 1), ss.min_cost_max_flow(ss.build_network(inst, 1)), rel=rel),
     lambda inst, route, table, rel: ss.optimal_allocation(inst, rel=rel),
 ], ids=["is_sir", "is_ir", "reverse_meter", "benefit_breakdown", "xc_table",
-        "beta_fair_table", "verify_fairness_ratios", "extract_allocation",
-        "optimal_allocation"])
+        "beta_fair_table", "verify_fairness_ratios", "optimal_allocation"])
 def test_table_checkers_reject_bad_tolerance(check, rel):
     inst = n2_instance()
     route = ss.Route.single_dropoff((1, 2))

@@ -491,6 +491,49 @@ def test_instance_rejects_matrix_and_coords_together():
         ss.Instance.from_dict(data)
 
 
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+              | st.text(max_size=8))
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _instance_documents(draw):
+    """A well-typed instance document with a few fields replaced by arbitrary JSON."""
+    n = draw(st.integers(1, 3))
+    table_key = draw(st.sampled_from(["coords", "distance_matrix"]))
+    fields = {
+        "n": st.just(n),
+        "dropoff_mode": st.sampled_from(["single", "multi"]),
+        "alpha_op": st.floats(0.5, 2.0),
+        "alphas": st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n),
+        "regime": st.sampled_from(["finite", "zero", "infinite"]),
+        "metric_flag": st.none() | st.booleans(),
+        "coords": st.lists(st.floats(-9, 9), min_size=n + 1, max_size=2 * n),
+        "distance_matrix": st.lists(st.lists(st.floats(0, 9), max_size=4), max_size=4),
+    }
+    del fields["distance_matrix" if table_key == "coords" else "coords"]
+    arbitrary = draw(st.sets(st.sampled_from(sorted(fields)), max_size=3))
+    return {key: draw(_JSON if key in arbitrary else well_typed)
+            for key, well_typed in fields.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instance_documents())
+def test_instance_from_dict_raises_only_package_errors(data):
+    # any JSON document yields an Instance or a SirshareError, which the CLI reports
+    # as a tool error; anything else escapes as a traceback
+    try:
+        inst = ss.Instance.from_dict(data)
+    except ss.SirshareError:
+        return
+    assert isinstance(inst, ss.Instance)
+
+
 def test_instance_rejects_missing_keys():
     with pytest.raises(MalformedInputError):
         ss.Instance.from_dict({"n": 1})
@@ -597,10 +640,9 @@ _TABLE = ss.CostShareTable(shares=((1.0,), (1.0, 1.0)))
     lambda: ss.opt_sir_route(_MULTI),
     lambda: ss.min_route_starvation(_MULTI),
     lambda: ss.optimal_allocation(_MULTI),
-    lambda: ss.build_network(_MULTI, 1),
     lambda: ss.brute_force_allocation(_MULTI),
 ], ids=["detours", "benefit", "beta", "xc", "ratios", "starvation", "enumerate", "opt",
-        "min-starvation", "allocate", "network", "brute-force"])
+        "min-starvation", "allocate", "brute-force"])
 def test_single_dropoff_entry_points_reject_multi_dropoff(call):
     with pytest.raises(UnsupportedModeError, match="only defined for single-dropoff instances"):
         call()
