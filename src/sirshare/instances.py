@@ -20,6 +20,7 @@ non-finite input, so no consumer checks the entries again.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -226,7 +227,9 @@ def from_euclidean(coords: Sequence) -> DistanceTable:
     """
     try:
         pts = np.array([np.atleast_1d(c) for c in coords], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
+    except OverflowError as exc:  # an int beyond float range
+        raise MalformedInputError(f"coordinate beyond float range: {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"coordinates are not points of one dimension: {exc}") from None
     if pts.ndim != 2:
         raise MalformedInputError(f"coordinates must be a list of points, got shape {pts.shape}")
@@ -455,36 +458,22 @@ class Route:
 
     Pickup events are tagged with the pickup point label being visited;
     dropoff events are tagged with the rider's boarding rank (rider j is
-    whoever boarded j-th). Single-dropoff routes are a permutation of the
-    pickups followed by the shared dropoff.
+    whoever boarded j-th). ``single_dropoff`` routes store only ``pickup_order``,
+    the pickups before the shared dropoff, and derive ``events`` on first read.
     """
 
     events: tuple[tuple[str, int], ...]
 
     @classmethod
     def single_dropoff(cls, order: Iterable[int]) -> "Route":
-        order = tuple(int(x) for x in order)
-        events = tuple((PICKUP, p) for p in order)
-        events += tuple((DROPOFF, r) for r in range(1, len(order) + 1))
-        return cls(events=events)
+        return cls._single_dropoff_batch([tuple(int(x) for x in order)])[0]
 
     @classmethod
-    def _single_dropoff_batch(cls, orders: Iterable[tuple[int, ...]],
-                              n: int) -> tuple["Route", ...]:
-        """``single_dropoff`` of many orders, each a tuple of ints permuting 1..n.
-
-        The orders are trusted, so the routes skip ``__init__``: they share one
-        pickup event per label and one dropoff tail, and each order doubles as
-        its route's ``pickup_order``.
-        """
-        pickups = [(PICKUP, p) for p in range(n + 1)]
-        tail = tuple((DROPOFF, r) for r in range(1, n + 1))
-        routes = []
-        for order in orders:
-            route = object.__new__(cls)
-            route.__dict__.update(events=tuple(map(pickups.__getitem__, order)) + tail,
-                                  pickup_order=order)
-            routes.append(route)
+    def _single_dropoff_batch(cls, orders: Sequence[tuple[int, ...]]) -> tuple["Route", ...]:
+        """``single_dropoff`` of many orders, each a tuple of ints, trusted as given."""
+        routes = [object.__new__(cls) for _ in orders]
+        for route, order in zip(routes, orders):
+            object.__setattr__(route, "pickup_order", order)
         return tuple(routes)
 
     @cached_property
@@ -532,15 +521,27 @@ class Route:
             raise MalformedInputError(defect)
 
     def to_tokens(self) -> str:
-        parts = []
-        pending_drops = set(range(1, self.n + 1))
-        if all(kind == PICKUP for kind, _ in self.events[: self.n]):
-            # canonical single-dropoff shape prints as the pickup order only
-            if [idx for kind, idx in self.events if kind == DROPOFF] == sorted(pending_drops):
-                return ",".join(str(p) for p in self.pickup_order)
-        for kind, idx in self.events:
-            parts.append(str(idx) if kind == PICKUP else f"d{idx}")
-        return ",".join(parts)
+        n, events = self.n, self.events
+        if (all(kind == PICKUP for kind, _ in events[:n])
+                and [idx for kind, idx in events if kind == DROPOFF] == list(range(1, n + 1))):
+            return ",".join(map(str, self.pickup_order))  # the canonical single-dropoff shape
+        return ",".join(str(idx) if kind == PICKUP else f"d{idx}" for kind, idx in events)
+
+
+@functools.cache
+def _shared_events(n: int) -> tuple[dict[int, tuple[str, int]], tuple[tuple[str, int], ...]]:
+    """The pickup event of each label 1..n, and the dropoff tail of n riders."""
+    return {p: (PICKUP, p) for p in range(1, n + 1)}, tuple((DROPOFF, r) for r in range(1, n + 1))
+
+
+def _single_dropoff_events(route: Route) -> tuple[tuple[str, int], ...]:
+    pickups, tail = _shared_events(route.n)  # shared by all the routes of n riders
+    return tuple(pickups.get(p) or (PICKUP, p) for p in route.pickup_order) + tail
+
+
+# a ``single_dropoff`` route derives its events here on first read; ``Route(events=...)`` sets them
+Route.events = cached_property(_single_dropoff_events)
+Route.events.__set_name__(Route, "events")
 
 
 # ---------------------------------------------------------------------------

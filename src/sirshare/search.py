@@ -164,10 +164,9 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
 
     ``limit`` truncates the returned route list (the minimum-distance route
     is still taken over everything enumerated; 0 lists none). The walk is
-    ``_search``'s block walk, so beyond the listed routes it takes
-    O(_BLOCK * n**2) memory; each listed order costs one ``Route``
-    (``Route._single_dropoff_batch``). Exact distance ties keep the first
-    order: ``argmin`` within a block, a strict ``<`` across blocks.
+    ``_search``'s, in O(_BLOCK * n**2) memory beyond the listed routes, each of
+    which holds only its order (``Route.single_dropoff``). Exact distance ties
+    keep the first order: ``argmin`` within a block, a strict ``<`` across blocks.
     """
     if limit is not None:
         _check_integer("route limit", limit)
@@ -182,14 +181,14 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
         found += len(dists)
         room = len(dists) if limit is None else limit - len(orders)
         if room > 0:
-            orders.extend(map(tuple, block[:room].tolist()))
+            orders.extend(zip(*block[:room].T.tolist()))
         i = int(dists.argmin())
         if best is None or dists[i] < best[1]:
             best = (tuple(block[i].tolist()), float(dists[i]))
 
     stats = _search(instance, rel, cap, visit)
     return SearchResult(
-        routes=Route._single_dropoff_batch(orders, instance.n),
+        routes=Route._single_dropoff_batch(orders),
         optimal=None if best is None else (Route.single_dropoff(best[0]), best[1]),
         stats=stats,
         truncated=limit is not None and found > len(orders),

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sirshare as ss
 from sirshare.cli import main
@@ -393,3 +397,102 @@ def test_validate_reuses_the_load_check_of_an_undeclared_flag(tmp_path, capsys, 
         assert code == 0  # computed flag False, so consistent
         assert calls == expected_calls
         assert [v["kind"] for v in json.loads(out)["violations"]] == ["triangle"]
+
+
+# ---------------------------------------------------------------------------
+# any argv: exit code 0, 1 or 2, no exception, nothing left behind for the next call
+# ---------------------------------------------------------------------------
+
+# each command's own flags; "--json" and "--tolerance" belong to all of them
+FUZZ_COMMANDS = {
+    "validate": [], "check-route": ["--route"], "witness": ["--route"],
+    "share": ["--route", "--beta", "--xc"], "routes": ["--limit", "--cap-override"],
+    "opt-route": ["--cap-override"], "starvation": ["--route", "--check-bounds", "--cap-override"],
+    "allocate": ["--m-prime", "--oracle"],
+    "generate": ["--n", "--ell", "--alpha-op", "--alphas", "--slack", "--vertices", "--edges",
+                 "--coords", "--margin", "-o"],
+}
+FUZZ_KINDS = ["lower-bound", "sqrt-tight", "exp-tight", "hampath", "path-tsp", "bogus"]
+FUZZ_FILES = ["{lb3}", "{tsp4}", "{line}", "{multi}", "{bad}", "{missing}"]
+FUZZ_FLAGS = {
+    "--json": None, "--xc": None, "--oracle": None, "--check-bounds": None, "--bogus": None,
+    "--tolerance": ["0", "1e-9", "0.5", "-1", "nan", "x"],
+    "--route": ["1,2,3", "3,2,1", "1,2,3,4", "4,3,2,1", "1,2", "1,1,2", "1,d1,2,d2", "", "x"],
+    "--beta": ["0.5,0.5", "0.5,0.5,0.5", "2", "x"],
+    "--limit": ["0", "1", "5", "-1", "x"],
+    "--cap-override": ["0", "3", "10", "x"],
+    "--m-prime": ["0", "1", "2", "9", "x"],
+    "--n": ["0", "1", "3", "x"],
+    "--ell": ["1", "0", "-1", "nan"],
+    "--alpha-op": ["1", "0", "inf"],
+    "--alphas": ["1,1,1", "1,0,1", "a"],
+    "--slack": ["0.01", "0", "-1"],
+    "--vertices": ["3", "0", "-2"],
+    "--edges": ["1-2,2-3", "1-1", "1-9", "x"],
+    "--coords": ["0;1;3", "0,0;3,4;1,1", "0;x", ""],
+    "--margin": ["0.01", "-1", "inf"],
+    "-o": ["{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    instances = {
+        "lb3": ss.generate_lower_bound_instance(3),
+        "tsp4": ss.reduce_path_tsp(ss.from_euclidean([[0, 0], [1, 3], [4, 1], [2, 5]])),
+        "line": ss.line_instance([-4.0, 1.0, 5.0], 0.0),
+        "multi": ss.Instance(dist=ss.from_euclidean([0.0, 1.0, 5.0, 7.0]), n=2,
+                             dropoff_mode="multi", alpha_op=1.0, alphas=(1.0, 1.0)),
+    }
+    paths = {name: str(root / f"{name}.json") for name in [*instances, "bad", "missing", "out"]}
+    for name, inst in instances.items():
+        inst.save(paths[name])
+    (root / "bad.json").write_text('{"n": 2, "dropoff_mode": ')
+    return paths
+
+
+@st.composite
+def _argvs(draw, command=None):
+    """A command, its positional argument, up to three of its own flags, and in
+    one draw of five a flag of any command."""
+    command = command or draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command, draw(st.sampled_from(FUZZ_KINDS if command == "generate" else FUZZ_FILES))]
+    own = FUZZ_COMMANDS[command] + ["--json", "--tolerance"]
+    flags = draw(st.lists(st.sampled_from(own), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_FLAGS))))
+    if "--route" in FUZZ_COMMANDS[command][:1]:
+        flags.insert(0, "--route")  # required by check-route, witness and share
+    for flag in flags:
+        values = FUZZ_FLAGS[flag]
+        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), argv=_argvs(), env_tolerance=st.sampled_from([None, "0", "1e-6", "x"]))
+def test_any_argv_keeps_the_exit_code_contract(fuzz_files, data, argv, env_tolerance):
+    # half of the calls in between run the same command, with other flags
+    between = data.draw(st.one_of(_argvs(), _argvs(command=argv[0])))
+    argv, between = ([arg.format(**fuzz_files) for arg in a] for a in (argv, between))
+    saved = os.environ.pop("SIRSHARE_TOLERANCE", None)
+    if env_tolerance is not None:
+        os.environ["SIRSHARE_TOLERANCE"] = env_tolerance
+    try:
+        runs = [_run_captured(a) for a in (argv, between, argv)]
+    finally:
+        os.environ.pop("SIRSHARE_TOLERANCE", None)
+        if saved is not None:
+            os.environ["SIRSHARE_TOLERANCE"] = saved
+    for code, _, err in runs:
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+    assert runs[2] == runs[0]  # nothing of the call in between carried over

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -86,6 +88,14 @@ def test_from_euclidean_line():
 def test_from_euclidean_mixed_dimensions():
     with pytest.raises(MalformedInputError):
         ss.from_euclidean([(0.0, 0.0), (1.0,)])
+
+
+@pytest.mark.parametrize("coords", [[[10 ** 400, 0], [1, 1]], [10 ** 400, 0.0]],
+                         ids=["points", "line"])
+def test_coordinates_beyond_float_range_are_named(coords):
+    with pytest.raises(MalformedInputError) as info:
+        ss.from_euclidean(coords)
+    assert str(info.value) == "coordinate beyond float range: int too large to convert to float"
 
 
 @pytest.mark.parametrize("build", [
@@ -686,3 +696,39 @@ def test_route_validation_cache_does_not_leak_across_instances():
     with pytest.raises(MalformedInputError, match="finish all pickups"):
         MULTI_INTERLEAVED.validate(single)
     MULTI_INTERLEAVED.validate(multi)
+
+
+def _three_ways(order):
+    """One order as a batch route, a ``single_dropoff`` route and a route built from events."""
+    events = tuple(("P", p) for p in order) + tuple(("D", r) for r in range(1, len(order) + 1))
+    return (ss.Route._single_dropoff_batch([tuple(order)])[0], ss.Route.single_dropoff(order),
+            ss.Route(events=events))
+
+
+@pytest.mark.parametrize("reads", [(), ("events", "pickup_order"), ("pickup_order", "events")],
+                         ids=["unread", "events-first", "order-first"])
+@pytest.mark.parametrize("order", [(3, 1, 2), (1, 2, 3), (1, 1, 2), (2, 3)])
+def test_single_dropoff_routes_match_routes_built_from_events(order, reads):
+    routes = _three_ways(order)
+    for route in routes:
+        for name in reads:
+            getattr(route, name)
+    copies = [pickle.loads(pickle.dumps(r)) for r in routes] + [copy.deepcopy(r) for r in routes]
+    events = routes[2].events
+    for route in routes + tuple(copies):
+        assert type(route) is ss.Route
+        assert route == routes[2] and hash(route) == hash(routes[2])
+        assert route != ss.Route.single_dropoff((4,) + order)
+        assert repr(route) == f"Route(events={events!r})"
+        assert route.events == events and route.pickup_order == order and route.n == len(order)
+        assert route.to_tokens() == ",".join(map(str, order))
+    inst = ss.generate_lower_bound_instance(3)
+    verdicts = set()
+    for route in routes + tuple(copies):
+        try:
+            route.validate(inst)
+            verdicts.add(None)
+        except MalformedInputError as exc:
+            verdicts.add(str(exc))
+    assert len(verdicts) == 1
+    assert (verdicts == {None}) == (sorted(order) == [1, 2, 3])

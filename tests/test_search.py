@@ -218,6 +218,26 @@ def test_count_only_walk_memory_is_bounded():
     assert peak < 22 * 2**20  # 10.6 MB measured at _BLOCK = 2**14
 
 
+def test_listed_routes_hold_only_their_orders():
+    # with one events tuple per listed route this listing retained 20.2 MB
+    rng = np.random.default_rng(0)
+    inst = ss.reduce_path_tsp(ss.from_euclidean(rng.uniform(0.0, 10.0, size=(8, 2)).tolist()))
+    tracemalloc.start()
+    try:
+        result = ss.enumerate_sir_routes(inst)
+        listed = tracemalloc.get_traced_memory()[0]
+        for route in result.routes:
+            route.events
+        derived = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.routes) == 40_320
+    # 7.1 MB measured on Python 3.11; about 15 MB on 3.10, where the routes' dicts share no keys
+    assert listed < 18 * 2**20
+    # events built with a tuple per event would take about 40 MB more
+    assert derived < 32 * 2**20  # 23.6 MB measured: one event per label and rank, shared
+
+
 @pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
                          ids=["nan", "inf", "negative", "str", "none"])
 @every_search
