@@ -75,41 +75,49 @@ class _Matching:
 
         Columns are settled cheapest first, and the search ends once the
         cheapest unsettled column is no shorter than the best path found to
-        the sink. Potentials then rise by ``min(dist, dist_sink)``, so the
-        path's real length is the new ``pot_sink``. Ties go to the lowest
-        index.
+        the sink. ``key`` holds each unsettled column's distance and ``+inf``
+        once it is settled, so its argmin is the next column to settle.
+        Potentials then rise by ``min(dist, dist_sink)``, so the path's real
+        length is the new ``pot_sink``. Ties go to the lowest index.
         """
-        cost, row_match, col_match = self.cost, self.row_match, self.col_match
+        cost, row_match, pot_col = self.cost, self.row_match, self.pot_col
         free_rows = np.flatnonzero(row_match < 0)
         if not free_rows.size:
             return None
         # a free row r sits at -pot_row[r], so its legs reach columns at cost - pot_col
-        reach = cost[free_rows] - self.pot_col
+        reach = cost[free_rows] - pot_col
         pick = reach.argmin(axis=0)
         dist = reach[pick, np.arange(len(pick))]
         pred = free_rows[pick]
-        free_col = col_match < 0
-        to_sink = self.pot_col - self.pot_sink
-        via_sink = np.where(free_col, dist + to_sink, np.inf)
+        # the edge to the sink: pot_col - pot_sink from a free column, none from a matched one
+        sink_col = np.where(self.col_match < 0, pot_col - self.pot_sink, np.inf)
+        via_sink = dist + sink_col
         end = int(via_sink.argmin())
         dist_sink = via_sink[end]
-        settled = np.zeros(len(dist), dtype=bool)
+        key = dist.copy()
+        open_ = np.ones(len(dist), dtype=bool)
+        col_match, pot_row = self.col_match.tolist(), self.pot_row.tolist()
         while True:
-            v = int(np.where(settled, np.inf, dist).argmin())
-            if settled[v] or dist[v] >= dist_sink:
+            v = int(key.argmin())
+            dist_v = key[v]
+            if not dist_v < dist_sink:
                 break
-            settled[v] = True
+            key[v] = np.inf
+            open_[v] = False
             r = col_match[v]
             if r < 0:  # a free column leads only to the sink
                 continue
-            via = cost[r] + (dist[v] + self.pot_row[r]) - self.pot_col
-            better = (via < dist) & ~settled
-            dist[better] = via[better]
-            pred[better] = r
-            via_sink = np.where(better & free_col, via + to_sink, np.inf)
-            k = int(via_sink.argmin())
-            if via_sink[k] < dist_sink:
-                end, dist_sink = k, via_sink[k]
+            via = cost[r] + (dist_v + pot_row[r]) - pot_col
+            better = via < dist
+            better &= open_
+            np.copyto(dist, via, where=better)
+            np.copyto(key, via, where=better)
+            np.copyto(pred, r, where=better)
+            via += sink_col
+            via[~better] = np.inf
+            k = int(via.argmin())
+            if via[k] < dist_sink:
+                end, dist_sink = k, via[k]
         if dist_sink == np.inf:
             return None
         step = np.minimum(dist, dist_sink)

@@ -229,19 +229,18 @@ def cmd_routes(args) -> int:
         inst, limit=args.limit, cap=args.cap_override,
         rel=args.tolerance,
     )
-    payload = {
-        "count": len(result.routes),
-        "truncated": result.truncated,
-        "routes": [list(r.pickup_order) for r in result.routes],
-        "optimal": (
-            {"route": list(result.optimal[0].pickup_order), "distance": result.optimal[1]}
-            if result.optimal else None
-        ),
-        "stats": {"nodes_expanded": result.stats.nodes_expanded,
-                  "prunes": result.stats.prunes},
-    }
     if args.json:
-        emit_json(payload)
+        emit_json({
+            "count": len(result.routes),
+            "truncated": result.truncated,
+            "routes": [list(r.pickup_order) for r in result.routes],
+            "optimal": (
+                {"route": list(result.optimal[0].pickup_order), "distance": result.optimal[1]}
+                if result.optimal else None
+            ),
+            "stats": {"nodes_expanded": result.stats.nodes_expanded,
+                      "prunes": result.stats.prunes},
+        })
     else:
         print(f"{len(result.routes)} feasible routes"
               + (" (truncated)" if result.truncated else ""))

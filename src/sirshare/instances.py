@@ -72,7 +72,9 @@ def _as_square_matrix(entries) -> np.ndarray:
     """The table check: outside input as a square, finite float array."""
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
+    except OverflowError as exc:  # an int beyond float range
+        raise MalformedInputError(f"distance table entry beyond float range: {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"distance table is not a matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MalformedInputError(f"distance table must be square, got shape {arr.shape}")
@@ -521,6 +523,8 @@ class Route:
             raise MalformedInputError(defect)
 
     def to_tokens(self) -> str:
+        if "events" not in vars(self):  # derived events always take the short form
+            return ",".join(map(str, self.pickup_order))
         n, events = self.n, self.events
         if (all(kind == PICKUP for kind, _ in events[:n])
                 and [idx for kind, idx in events if kind == DROPOFF] == list(range(1, n + 1))):

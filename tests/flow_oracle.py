@@ -6,6 +6,10 @@ solves min-cost max-flow on it. ``sirshare.optimal_allocation`` reaches the
 same optimum by successive shortest paths over the chaining matrix; this
 module keeps the flow formulation apart from it, sharing only public names,
 so the tests can compare the two with ``==``.
+
+``reference_shortest_path`` is the matching pass's earlier Dijkstra loop,
+which builds fresh arrays at every step, kept as the reference that the
+leaner loop in ``sirshare.allocation`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from sirshare import Allocation, FlowExtractionError, Instance, MalformedInputError
 from sirshare.numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerance
@@ -254,3 +260,51 @@ def per_count_reference(inst: Instance) -> Allocation:
         if best is None or alloc.total_miles < best.total_miles:
             best = alloc
     return best
+
+
+def reference_shortest_path(matching):
+    """``_Matching.shortest_path`` as a loop over fresh arrays: same folds, same ties.
+
+    Takes a ``sirshare.allocation._Matching`` and updates its potentials
+    exactly as the library's loop does; returns (end column, predecessor
+    rows) or None.
+    """
+    cost, row_match, col_match = matching.cost, matching.row_match, matching.col_match
+    free_rows = np.flatnonzero(row_match < 0)
+    if not free_rows.size:
+        return None
+    reach = cost[free_rows] - matching.pot_col
+    pick = reach.argmin(axis=0)
+    dist = reach[pick, np.arange(len(pick))]
+    pred = free_rows[pick]
+    free_col = col_match < 0
+    to_sink = matching.pot_col - matching.pot_sink
+    via_sink = np.where(free_col, dist + to_sink, np.inf)
+    end = int(via_sink.argmin())
+    dist_sink = via_sink[end]
+    settled = np.zeros(len(dist), dtype=bool)
+    while True:
+        v = int(np.where(settled, np.inf, dist).argmin())
+        if settled[v] or dist[v] >= dist_sink:
+            break
+        settled[v] = True
+        r = col_match[v]
+        if r < 0:
+            continue
+        via = cost[r] + (dist[v] + matching.pot_row[r]) - matching.pot_col
+        better = (via < dist) & ~settled
+        dist[better] = via[better]
+        pred[better] = r
+        via_sink = np.where(better & free_col, via + to_sink, np.inf)
+        k = int(via_sink.argmin())
+        if via_sink[k] < dist_sink:
+            end, dist_sink = k, via_sink[k]
+    if dist_sink == np.inf:
+        return None
+    step = np.minimum(dist, dist_sink)
+    matched = row_match >= 0
+    matching.pot_row[matched] += step[row_match[matched]]
+    matching.pot_row[~matched] += np.minimum(-matching.pot_row[~matched], dist_sink)
+    matching.pot_col += step
+    matching.pot_sink += float(dist_sink)
+    return end, pred

@@ -15,6 +15,7 @@ from flow_oracle import (
     flow_allocation,
     min_cost_max_flow,
     per_count_reference,
+    reference_shortest_path,
 )
 
 
@@ -273,6 +274,33 @@ def solved_matching(legs):
     for _ in range(legs):
         matching.augment(matching.shortest_path())
     return matching
+
+
+def test_shortest_path_matches_reference_loop_bit_for_bit():
+    # two matchings driven in lockstep until no path is left, so every
+    # vehicle count is passed; decimal line positions give rounding ties
+    rng = np.random.default_rng(59)
+    instances = [random_euclidean_instance(rng, n) for n in range(1, 31) for _ in range(3)]
+    instances += [
+        ss.line_instance((rng.integers(-9, 10, size=int(rng.integers(1, 12))) / 10).tolist(), 0.0)
+        for _ in range(150)
+    ]
+    for inst in instances:
+        fast = allocation._Matching(allocation._chaining_matrix(inst))
+        slow = allocation._Matching(allocation._chaining_matrix(inst))
+        while True:
+            path, reference = fast.shortest_path(), reference_shortest_path(slow)
+            assert (path is None) == (reference is None)
+            assert np.array_equal(fast.pot_row, slow.pot_row)
+            assert np.array_equal(fast.pot_col, slow.pot_col)
+            assert fast.pot_sink == slow.pot_sink
+            if path is None:
+                break
+            assert path[0] == reference[0]
+            assert np.array_equal(path[1], reference[1])
+            fast.augment(path)
+            slow.augment(reference)
+        assert np.array_equal(fast.row_match, slow.row_match)
 
 
 def _raise_free_column(matching):

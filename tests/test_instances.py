@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -96,6 +97,19 @@ def test_coordinates_beyond_float_range_are_named(coords):
     with pytest.raises(MalformedInputError) as info:
         ss.from_euclidean(coords)
     assert str(info.value) == "coordinate beyond float range: int too large to convert to float"
+
+
+@pytest.mark.parametrize("load", [
+    ss.DistanceTable.from_matrix,
+    lambda matrix: ss.Instance.from_dict({"n": 1, "dropoff_mode": "single", "alpha_op": 1.0,
+                                          "alphas": [1.0], "regime": "finite",
+                                          "distance_matrix": matrix}),
+], ids=["from_matrix", "from_dict"])
+def test_table_entries_beyond_float_range_are_named(load):
+    with pytest.raises(MalformedInputError) as info:
+        load([[0, 10 ** 400], [1, 0]])
+    assert str(info.value) == \
+        "distance table entry beyond float range: int too large to convert to float"
 
 
 @pytest.mark.parametrize("build", [
@@ -732,3 +746,13 @@ def test_single_dropoff_routes_match_routes_built_from_events(order, reads):
             verdicts.add(str(exc))
     assert len(verdicts) == 1
     assert (verdicts == {None}) == (sorted(order) == [1, 2, 3])
+
+
+def test_to_tokens_of_an_order_derives_no_events():
+    listed = ss.enumerate_sir_routes(ss.generate_sqrt_tight_instance(5)).routes
+    orders = [order for n in range(5) for order in itertools.product(range(1, n + 1), repeat=n)]
+    for route in tuple(listed) + tuple(ss.Route.single_dropoff(order) for order in orders):
+        tokens = route.to_tokens()
+        assert "events" not in vars(route)
+        assert ss.Route(events=route.events).to_tokens() == tokens
+        assert route.to_tokens() == tokens  # now read from the derived events
