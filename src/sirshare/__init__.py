@@ -68,6 +68,7 @@ from .instances import (
     validate_metric,
 )
 from .search import (
+    RouteListing,
     SearchResult,
     SearchStats,
     enumerate_sir_routes,

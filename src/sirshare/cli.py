@@ -229,11 +229,12 @@ def cmd_routes(args) -> int:
         inst, limit=args.limit, cap=args.cap_override,
         rel=args.tolerance,
     )
+    orders = result.routes.orders.tolist()
     if args.json:
         emit_json({
-            "count": len(result.routes),
+            "count": len(orders),
             "truncated": result.truncated,
-            "routes": [list(r.pickup_order) for r in result.routes],
+            "routes": orders,
             "optimal": (
                 {"route": list(result.optimal[0].pickup_order), "distance": result.optimal[1]}
                 if result.optimal else None
@@ -242,14 +243,14 @@ def cmd_routes(args) -> int:
                       "prunes": result.stats.prunes},
         })
     else:
-        print(f"{len(result.routes)} feasible routes"
+        print(f"{len(orders)} feasible routes"
               + (" (truncated)" if result.truncated else ""))
-        for r in result.routes:
-            print(f"  {r.to_tokens()}")
+        for order in orders:
+            print("  " + ",".join(map(str, order)))
         if result.optimal:
             print(f"optimal: {result.optimal[0].to_tokens()} "
                   f"distance {fmt(result.optimal[1])}")
-    return EXIT_OK if result.routes else EXIT_NEGATIVE
+    return EXIT_OK if orders else EXIT_NEGATIVE
 
 
 def cmd_opt_route(args) -> int:

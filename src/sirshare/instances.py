@@ -468,15 +468,9 @@ class Route:
 
     @classmethod
     def single_dropoff(cls, order: Iterable[int]) -> "Route":
-        return cls._single_dropoff_batch([tuple(int(x) for x in order)])[0]
-
-    @classmethod
-    def _single_dropoff_batch(cls, orders: Sequence[tuple[int, ...]]) -> tuple["Route", ...]:
-        """``single_dropoff`` of many orders, each a tuple of ints, trusted as given."""
-        routes = [object.__new__(cls) for _ in orders]
-        for route, order in zip(routes, orders):
-            object.__setattr__(route, "pickup_order", order)
-        return tuple(routes)
+        route = object.__new__(cls)
+        object.__setattr__(route, "pickup_order", tuple(map(int, order)))
+        return route
 
     @cached_property
     def pickup_order(self) -> tuple[int, ...]:

@@ -17,8 +17,10 @@ exponential; the line metric with equal rates is the polynomial special case.
 - ``enumerate_sir_routes`` must list every feasible order. Every feasible
   order extends feasible prefixes, so ``_search`` walks the prefixes level
   by level in blocks of up to ``_BLOCK``, depth first and in lexicographic
-  pickup order, and cuts a prefix as soon as its last stage fails. Memory
-  is O(_BLOCK * n**2) beyond the listed routes.
+  pickup order, and cuts a prefix as soon as its last stage fails. It
+  keeps the listed orders as one ``RouteListing`` array of the smallest
+  unsigned type, so memory is O(_BLOCK * n**2) during the walk plus
+  count * n bytes for the listing (one byte per label up to 255 riders).
 
 The optimum and the listing fold a route's distance the same way (hops left
 to right, then the last rider's direct distance), and all three break exact
@@ -28,8 +30,9 @@ ties towards the lexicographically smallest pickup sequence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +49,55 @@ class SearchStats:
     prunes: int
 
 
+_ITER_ROWS = 1024  # rows that iterating a listing turns into Python lists at once
+
+
+class RouteListing(Sequence[Route]):
+    """Listed boarding orders, one row of ``orders`` per route.
+
+    ``orders`` is a read-only (count, n) array of pickup labels. An int
+    index gives ``Route.single_dropoff`` of that row, built on demand, and a
+    slice gives a listing of the sliced rows; equality and hash follow the
+    orders.
+    """
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: np.ndarray) -> None:
+        orders = orders.view()  # read-only without freezing the caller's array
+        orders.flags.writeable = False
+        self.orders = orders
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def __getitem__(self, k: int | slice) -> "Route | RouteListing":
+        if isinstance(k, slice):
+            return RouteListing(self.orders[k])
+        return Route.single_dropoff(self.orders[operator.index(k)].tolist())
+
+    def __iter__(self) -> Iterator[Route]:
+        for lo in range(0, len(self.orders), _ITER_ROWS):
+            yield from map(Route.single_dropoff, self.orders[lo:lo + _ITER_ROWS].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RouteListing):
+            return NotImplemented
+        return np.array_equal(self.orders, other.orders)
+
+    def __hash__(self) -> int:
+        return hash((self.orders.shape, self.orders.astype(np.int64).tobytes()))
+
+    def __reduce__(self):
+        return RouteListing, (self.orders,)
+
+    def __repr__(self) -> str:
+        return f"RouteListing({self.orders!r})"
+
+
 @dataclass(frozen=True)
 class SearchResult:
-    routes: tuple[Route, ...]
+    routes: RouteListing
     optimal: tuple[Route, float] | None
     stats: SearchStats
     truncated: bool
@@ -162,36 +211,39 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
                          rel: float = DEFAULT_REL_TOL) -> SearchResult:
     """All feasible boarding orders, in lexicographic pickup order.
 
-    ``limit`` truncates the returned route list (the minimum-distance route
-    is still taken over everything enumerated; 0 lists none). The walk is
-    ``_search``'s, in O(_BLOCK * n**2) memory beyond the listed routes, each of
-    which holds only its order (``Route.single_dropoff``). Exact distance ties
-    keep the first order: ``argmin`` within a block, a strict ``<`` across blocks.
+    ``limit`` truncates the returned listing (the minimum-distance route is
+    still taken over everything enumerated; 0 lists none). The walk is
+    ``_search``'s, in O(_BLOCK * n**2) memory; the listing adds count * n
+    bytes, one ``RouteListing`` row per order in the smallest unsigned type
+    that holds n, and builds no object per order. Exact distance ties keep
+    the first order: ``argmin`` within a block, a strict ``<`` across blocks.
     """
     if limit is not None:
         _check_integer("route limit", limit)
         if limit < 0:
             raise MalformedInputError(f"route limit must be >= 0, got {limit}")
-    orders: list[tuple[int, ...]] = []
-    found = 0
+    dtype = np.min_scalar_type(instance.n)
+    blocks = [np.empty((0, instance.n), dtype)]
+    found = kept = 0
     best: tuple[tuple[int, ...], float] | None = None
 
     def visit(block: np.ndarray, dists: np.ndarray) -> None:
-        nonlocal found, best
+        nonlocal found, kept, best
         found += len(dists)
-        room = len(dists) if limit is None else limit - len(orders)
+        room = len(dists) if limit is None else limit - kept
         if room > 0:
-            orders.extend(zip(*block[:room].T.tolist()))
+            blocks.append(block[:room].astype(dtype))
+            kept += len(blocks[-1])
         i = int(dists.argmin())
         if best is None or dists[i] < best[1]:
             best = (tuple(block[i].tolist()), float(dists[i]))
 
     stats = _search(instance, rel, cap, visit)
     return SearchResult(
-        routes=Route._single_dropoff_batch(orders),
+        routes=RouteListing(np.concatenate(blocks)),
         optimal=None if best is None else (Route.single_dropoff(best[0]), best[1]),
         stats=stats,
-        truncated=limit is not None and found > len(orders),
+        truncated=limit is not None and found > kept,
     )
 
 

@@ -422,7 +422,7 @@ def test_hampath_complete_graph_all_routes():
 
 def test_hampath_edgeless_graph_no_routes():
     inst = ss.reduce_hampath(2, [])
-    assert ss.enumerate_sir_routes(inst).routes == ()
+    assert len(ss.enumerate_sir_routes(inst).routes) == 0
 
 
 def test_hampath_counts_match_dfs_oracle():
@@ -713,10 +713,21 @@ def test_route_validation_cache_does_not_leak_across_instances():
 
 
 def _three_ways(order):
-    """One order as a batch route, a ``single_dropoff`` route and a route built from events."""
-    events = tuple(("P", p) for p in order) + tuple(("D", r) for r in range(1, len(order) + 1))
-    return (ss.Route._single_dropoff_batch([tuple(order)])[0], ss.Route.single_dropoff(order),
-            ss.Route(events=events))
+    """One order as a listed route, a ``single_dropoff`` route and a route built from events.
+
+    A permutation is read from the listing of every order of its riders; no
+    search lists any other order, so that one is read from a one-row listing.
+    """
+    n = len(order)
+    if sorted(order) == list(range(1, n + 1)):
+        everyone = ss.reduce_hampath(n, list(itertools.combinations(range(1, n + 1), 2)))
+        listed = ss.enumerate_sir_routes(everyone).routes
+        k = sorted(itertools.permutations(range(1, n + 1))).index(tuple(order))
+    else:
+        listed, k = ss.RouteListing(np.array([order], dtype=np.uint8)), 0
+    assert listed.orders[k].tolist() == list(order)
+    events = tuple(("P", p) for p in order) + tuple(("D", r) for r in range(1, n + 1))
+    return listed[k], ss.Route.single_dropoff(order), ss.Route(events=events)
 
 
 @pytest.mark.parametrize("reads", [(), ("events", "pickup_order"), ("pickup_order", "events")],

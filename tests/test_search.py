@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -52,7 +54,7 @@ def test_enumerate_single_rider():
 def test_enumerate_interior_dropoff_is_empty():
     inst = ss.line_instance([-3.0, 2.0, 4.0], 0.0)
     result = ss.enumerate_sir_routes(inst)
-    assert result.routes == ()
+    assert len(result.routes) == 0
     assert result.optimal is None
 
 
@@ -126,7 +128,7 @@ def test_enumerate_lexicographic_and_limit():
     assert cut.truncated
     assert cut.optimal is not None  # optimal still over everything found
     counted = ss.enumerate_sir_routes(inst, limit=0)
-    assert counted.routes == () and counted.truncated
+    assert len(counted.routes) == 0 and counted.truncated
     assert counted.optimal == full.optimal and counted.stats == full.stats
     with pytest.raises(MalformedInputError, match="route limit"):
         ss.enumerate_sir_routes(inst, limit=-1)
@@ -136,9 +138,49 @@ def test_enumerate_routes_equal_single_dropoff_routes():
     inst = ss.reduce_hampath(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     routes = ss.enumerate_sir_routes(inst).routes
     expected = tuple(ss.Route.single_dropoff(p) for p in itertools.permutations(range(1, 5)))
-    assert routes == expected
+    assert tuple(routes) == expected
     assert [hash(r) for r in routes] == [hash(r) for r in expected]
     assert [r.to_tokens() for r in routes] == [r.to_tokens() for r in expected]
+
+
+def test_route_listing_contract(monkeypatch):
+    inst = ss.reduce_hampath(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    perms = list(itertools.permutations(range(1, 5)))
+    routes = ss.enumerate_sir_routes(inst).routes
+    assert isinstance(routes, ss.RouteListing)
+    assert len(routes) == 24 and routes.orders.shape == (24, 4)
+    assert routes.orders.dtype == np.uint8
+    for k in (0, 5, 23, -1, -24):
+        assert routes[k] == ss.Route.single_dropoff(perms[k])
+    with pytest.raises(IndexError):
+        routes[24]
+    cut = routes[3:9:2]
+    assert isinstance(cut, ss.RouteListing)
+    assert cut.orders.tolist() == [list(p) for p in perms[3:9:2]]
+    assert cut == ss.RouteListing(np.array(perms[3:9:2], dtype=np.uint8))
+    assert list(routes) == [ss.Route.single_dropoff(p) for p in perms]
+    monkeypatch.setattr(search_module, "_ITER_ROWS", 5)  # 24 rows in chunks of 5
+    assert list(routes) == [ss.Route.single_dropoff(p) for p in perms]
+    assert all(type(x) is int for r in (*routes, routes[7]) for x in r.pickup_order)
+    for orders in (routes.orders, cut.orders):
+        with pytest.raises(ValueError):
+            orders[0, 0] = 2
+    again = ss.enumerate_sir_routes(inst).routes
+    assert again == routes and hash(again) == hash(routes)
+    assert routes != routes[:-1] and routes != tuple(routes)
+    copied = pickle.loads(pickle.dumps(routes))
+    assert copied == routes and not copied.orders.flags.writeable
+
+
+@pytest.mark.parametrize("limit, count, truncated",
+                         [(None, 24, False), (0, 0, True), (1, 1, True), (2, 2, True)])
+def test_route_listing_shapes(limit, count, truncated):
+    inst = ss.reduce_hampath(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    result = ss.enumerate_sir_routes(inst, limit=limit)
+    assert result.routes.orders.shape == (count, 4) and result.truncated is truncated
+    empty = ss.enumerate_sir_routes(ss.line_instance([-3.0, 2.0, 4.0], 0.0), limit=limit)
+    assert empty.routes.orders.shape == (0, 3) and empty.routes.orders.dtype == np.uint8
+    assert not empty.truncated and list(empty.routes) == []
 
 
 def test_enumerate_cap_and_override():
@@ -236,6 +278,32 @@ def test_listed_routes_hold_only_their_orders():
     assert listed < 18 * 2**20
     # events built with a tuple per event would take about 40 MB more
     assert derived < 32 * 2**20  # 23.6 MB measured: one event per label and rank, shared
+
+
+def test_listing_makes_no_object_per_order():
+    # one Route per listed order made 80,665 GC-tracked objects and retained 7.1 MB here
+    rng = np.random.default_rng(0)
+    inst = ss.reduce_path_tsp(ss.from_euclidean(rng.uniform(0.0, 10.0, size=(8, 2)).tolist()))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = ss.enumerate_sir_routes(inst)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    del result
+    inst = ss.reduce_path_tsp(ss.from_euclidean(rng.uniform(0.0, 10.0, size=(8, 2)).tolist()))
+    tracemalloc.start()
+    try:
+        result = ss.enumerate_sir_routes(inst)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.routes) == 40_320
+    # 60 measured: the result, the walk's closures and the instance's cached tables
+    assert tracked < 100
+    assert retained < 2 * 2**20  # 0.62 MB measured, 315 KB of it the orders
 
 
 @pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
