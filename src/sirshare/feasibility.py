@@ -12,6 +12,7 @@ table realizing it whenever one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BudgetBalanceError,
@@ -293,6 +294,15 @@ class StageSlack:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A route's verdict: ``stages`` holds stages 2..n and ``first_violation``
+    the first of them that fails, or None when the route is feasible.
+
+    ``sir_feasible`` builds ``stages`` on first read, from the stage values
+    its check already had; a result built by the constructor holds the
+    stages it was given. ``==``, ``hash``, ``repr`` and pickling read
+    ``stages`` either way.
+    """
+
     feasible: bool
     stages: tuple[StageSlack, ...]
     first_violation: int | None = None
@@ -300,6 +310,38 @@ class FeasibilityResult:
     @property
     def slacks(self) -> tuple[float, ...]:
         return tuple(s.slack for s in self.stages)
+
+    def __reduce__(self):
+        return FeasibilityResult, (self.feasible, self.stages, self.first_violation)
+
+
+def _lazy_result(first_violation: int | None, source) -> FeasibilityResult:
+    """A ``sir_feasible`` result whose stages wait in ``source``: a list of
+    the (lhs, rhs) pairs of stages 2..n, or the (instance, order) of a
+    single-dropoff route."""
+    result = object.__new__(FeasibilityResult)
+    fields = vars(result)
+    fields["feasible"] = first_violation is None
+    fields["first_violation"] = first_violation
+    fields["_source"] = source
+    return result
+
+
+def _stored_stages(result: FeasibilityResult) -> tuple[StageSlack, ...]:
+    source = vars(result)["_source"]
+    if isinstance(source, list):
+        pairs = source
+    else:
+        instance, order = source
+        detour, budget = instance.detour, instance.budget
+        pairs = [(detour[a][b], budget[j][b])
+                 for j, a, b in zip(range(2, len(order) + 1), order, order[1:])]
+    return tuple(StageSlack(j, lhs, rhs) for j, (lhs, rhs) in enumerate(pairs, start=2))
+
+
+# a ``sir_feasible`` result builds its stages here on first read; the constructor sets them
+FeasibilityResult.stages = cached_property(_stored_stages)
+FeasibilityResult.stages.__set_name__(FeasibilityResult, "stages")
 
 
 def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...]:
@@ -318,46 +360,45 @@ def sir_feasible(instance: Instance, route: Route,
     against its shrinking budget (``Instance.detour`` and ``Instance.budget``);
     per-rider dropoffs take the stage-cost form. Stage slacks within
     tolerance of zero count as feasible. The tolerance and route are
-    validated first; the route check is cached per route.
+    validated first; the route check is cached per route. The check stops
+    at the first failing stage and builds no per-stage object: the result's
+    ``stages`` is built on first read.
     """
     check_tolerance(rel)
     route.validate(instance)
     n = instance.n
-    stages: list[StageSlack] = []
 
     if instance.dropoff_mode == SINGLE:
         order = route.pickup_order
         detour, budget = instance.detour, instance.budget
-        for j in range(2, n + 1):
-            a, b = order[j - 2], order[j - 1]
-            stages.append(StageSlack(stage=j, lhs=detour[a][b], rhs=budget[j][b]))
-    else:
-        costs = stage_costs(instance, route)
-        for j in range(2, n + 1):
-            delta_d = costs.d[j] - costs.d[j - 1]
-            if instance.regime == REGIME_ZERO:
-                lhs = delta_d
-                rhs = costs.direct[j]
-            elif instance.regime == REGIME_INFINITE:
-                lhs = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
-                lhs += costs.d_i[j][j] - costs.direct[j]
-                rhs = 0.0
-            else:
-                lhs = instance.alpha_op * delta_d
-                lhs += sum(
-                    instance.alphas[i - 1] * (costs.d_i[i][j] - costs.d_i[i][j - 1])
-                    for i in range(1, j)
-                )
-                rhs = instance.alpha_op * costs.direct[j]
-                rhs -= instance.alphas[j - 1] * (costs.d_i[j][j] - costs.direct[j])
-            stages.append(StageSlack(stage=j, lhs=lhs, rhs=rhs))
+        for j, a, b in zip(range(2, n + 1), order, order[1:]):
+            if not approx_leq(detour[a][b], budget[j][b], rel):
+                return _lazy_result(j, (instance, order))
+        return _lazy_result(None, (instance, order))
 
-    first_violation = next((s.stage for s in stages if not approx_leq(s.lhs, s.rhs, rel)), None)
-    return FeasibilityResult(
-        feasible=first_violation is None,
-        stages=tuple(stages),
-        first_violation=first_violation,
-    )
+    costs = stage_costs(instance, route)
+    pairs = []
+    for j in range(2, n + 1):
+        delta_d = costs.d[j] - costs.d[j - 1]
+        if instance.regime == REGIME_ZERO:
+            lhs = delta_d
+            rhs = costs.direct[j]
+        elif instance.regime == REGIME_INFINITE:
+            lhs = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
+            lhs += costs.d_i[j][j] - costs.direct[j]
+            rhs = 0.0
+        else:
+            lhs = instance.alpha_op * delta_d
+            lhs += sum(
+                instance.alphas[i - 1] * (costs.d_i[i][j] - costs.d_i[i][j - 1])
+                for i in range(1, j)
+            )
+            rhs = instance.alpha_op * costs.direct[j]
+            rhs -= instance.alphas[j - 1] * (costs.d_i[j][j] - costs.direct[j])
+        pairs.append((lhs, rhs))
+    first_violation = next((j for j, (lhs, rhs) in enumerate(pairs, start=2)
+                            if not approx_leq(lhs, rhs, rel)), None)
+    return _lazy_result(first_violation, pairs)
 
 
 def witness_scheme(instance: Instance, route: Route,

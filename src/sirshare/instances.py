@@ -468,8 +468,13 @@ class Route:
 
     @classmethod
     def single_dropoff(cls, order: Iterable[int]) -> "Route":
+        return cls._of_order(tuple(map(int, order)))
+
+    @classmethod
+    def _of_order(cls, order: tuple[int, ...]) -> "Route":
+        """``single_dropoff`` of a tuple of Python ints, taken as it is."""
         route = object.__new__(cls)
-        object.__setattr__(route, "pickup_order", tuple(map(int, order)))
+        vars(route)["pickup_order"] = order
         return route
 
     @cached_property
@@ -488,6 +493,8 @@ class Route:
         n = self.n
         if sorted(self.pickup_order) != list(range(1, n + 1)):
             return -1, None, False
+        if "events" not in vars(self):  # an order alone derives well-formed events
+            return n, None, False
         drop_ranks = [idx for kind, idx in self.events if kind == DROPOFF]
         if sorted(drop_ranks) != list(range(1, n + 1)):
             return n, "route must drop off each rider exactly once", False

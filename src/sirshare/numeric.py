@@ -14,6 +14,7 @@ from .errors import MalformedInputError
 
 DEFAULT_REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
+_NEG_INF = -math.inf
 
 
 def check_tolerance(rel: float) -> None:
@@ -41,6 +42,10 @@ def comparison_tolerance(scale: float, rel: float = DEFAULT_REL_TOL) -> float:
 
 
 def approx_leq(a: float, b: float, rel: float = DEFAULT_REL_TOL) -> bool:
+    # The slack is never negative, so ``a <= b`` decides at once, except at
+    # b = -inf: a nonzero slack is infinite there, and -inf + inf is NaN.
+    if a <= b and b > _NEG_INF:
+        return True
     return a <= b + comparison_tolerance(max(abs(a), abs(b)), rel)
 
 

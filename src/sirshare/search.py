@@ -74,11 +74,11 @@ class RouteListing(Sequence[Route]):
     def __getitem__(self, k: int | slice) -> "Route | RouteListing":
         if isinstance(k, slice):
             return RouteListing(self.orders[k])
-        return Route.single_dropoff(self.orders[operator.index(k)].tolist())
+        return Route._of_order(tuple(self.orders[operator.index(k)].tolist()))
 
     def __iter__(self) -> Iterator[Route]:
         for lo in range(0, len(self.orders), _ITER_ROWS):
-            yield from map(Route.single_dropoff, self.orders[lo:lo + _ITER_ROWS].tolist())
+            yield from map(Route._of_order, map(tuple, self.orders[lo:lo + _ITER_ROWS].tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RouteListing):
@@ -189,8 +189,11 @@ def _search(instance: Instance, rel: float, cap: int,
             extend(np.column_stack((orders[parent], pick + 1)), pick + 1, child_free,
                    dist[parent] + hops[last[parent], pick])
 
-    extend(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp),
-           np.ones((1, n), dtype=bool), np.zeros(1))
+    try:
+        extend(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp),
+               np.ones((1, n), dtype=bool), np.zeros(1))
+    finally:
+        extend = None  # ``extend`` holds itself through its closure cell: free the cycle now
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
 
 

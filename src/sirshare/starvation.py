@@ -184,12 +184,15 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
 
 
 def lower_bound_value(n: int, alpha_op: float, alphas: Sequence[float]) -> float:
-    """Worst-case minimum starvation factor achievable with these weights.
+    """A lower bound on the worst-case least starvation factor with these weights.
 
     Sum over stages of the stage detour budget as a fraction of the direct
     distance; with equal weights this is the n-th harmonic number, and it
-    approaches n as the sensitivities vanish. The rates must fit an
-    instance of n riders.
+    approaches n as the sensitivities vanish. The lower-bound instance with
+    these weights (``generate_lower_bound_instance``) has every feasible
+    route at exactly this factor, so the worst case is at least this value;
+    it is not the worst case itself, since other instances can force a
+    larger least factor. The rates must fit an instance of n riders.
     """
     alpha_op, alphas = _checked_rates(n, alpha_op, alphas)
     total = 0.0

@@ -1,17 +1,22 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import sirshare as ss
 from sirshare.errors import BudgetBalanceError, InfeasibleRouteError, MalformedInputError
+from sirshare.numeric import approx_leq
 
 from corpus import (
     random_euclidean_instance,
     random_feasible_instance,
     random_multi_instance,
     random_multi_route,
+    with_regime,
 )
 
 
@@ -261,6 +266,69 @@ def test_sir_feasible_general_form_agrees_on_single_dropoff():
                 assert fast.first_violation == general.first_violation
                 feasible += fast.feasible
     assert feasible > 0
+
+
+def _lean_verdict_cases():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 4, 5):
+        base = random_euclidean_instance(rng, n, alpha_low=0.5)
+        for inst in (base, with_regime(base, "zero"), with_regime(base, "infinite")):
+            for perm in itertools.islice(itertools.permutations(range(1, n + 1)), 0, None, 7):
+                yield inst, ss.Route.single_dropoff(perm)
+    yield random_feasible_instance(rng, 5), ss.Route.single_dropoff(range(1, 6))
+    for n in (2, 3, 4):
+        for _ in range(4):
+            inst = random_multi_instance(rng, n)
+            route = random_multi_route(rng, n)
+            for regime in ("finite", "zero", "infinite"):
+                yield with_regime(inst, regime), route
+
+
+_VIEWS = {
+    "eq": lambda r: (r, r.feasible, r.first_violation),
+    "hash": hash,
+    "repr": repr,
+    "slacks": lambda r: r.slacks,
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+def test_unread_stages_match_an_eager_result():
+    # sir_feasible builds its stages on first read; every view of a result
+    # must equal that of the constructor's result, before that read and after
+    seen = {True: 0, False: 0}
+    for inst, route in _lean_verdict_cases():
+        for rel in (1e-9, 0.0):
+            probe = ss.sir_feasible(inst, route, rel=rel)
+            stages = probe.stages
+            assert [s.stage for s in stages] == list(range(2, inst.n + 1))
+            if inst.dropoff_mode == "single":
+                order = route.pickup_order
+                assert [(s.lhs, s.rhs) for s in stages] == [
+                    (inst.detour[a][b], inst.budget[j][b])
+                    for j, a, b in zip(range(2, inst.n + 1), order, order[1:])]
+            fails = [s.stage for s in stages if not approx_leq(s.lhs, s.rhs, rel)]
+            assert probe.first_violation == (fails[0] if fails else None)
+            eager = ss.FeasibilityResult(not fails, stages, probe.first_violation)
+            assert eager == ss.FeasibilityResult(feasible=not fails, stages=stages,
+                                                 first_violation=probe.first_violation)
+            seen[eager.feasible] += 1
+            for name, view in _VIEWS.items():
+                result = ss.sir_feasible(inst, route, rel=rel)
+                assert "stages" not in vars(result)
+                assert view(result) == view(eager), name
+                assert "stages" in vars(result), name  # every view reads them
+                assert view(result) == view(eager), name
+    assert seen[True] > 10 and seen[False] > 10
+
+
+def test_feasibility_result_stays_frozen():
+    result = ss.sir_feasible(ss.generate_lower_bound_instance(3), ss.Route.single_dropoff([1, 2, 3]))
+    for name in ("feasible", "stages", "first_violation"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    assert result.feasible and len(result.stages) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -767,3 +767,24 @@ def test_to_tokens_of_an_order_derives_no_events():
         assert "events" not in vars(route)
         assert ss.Route(events=route.events).to_tokens() == tokens
         assert route.to_tokens() == tokens  # now read from the derived events
+
+
+def test_validate_of_an_order_derives_no_events():
+    inst = ss.generate_lower_bound_instance(4)
+    listed = ss.enumerate_sir_routes(ss.generate_sqrt_tight_instance(4)).routes
+    orders = list(itertools.product(range(1, 5), repeat=4)) + [(1, 2, 3), (1, 2, 3, 4, 5)]
+    for route in tuple(listed) + tuple(ss.Route.single_dropoff(order) for order in orders):
+        try:
+            route.validate(inst)
+            ss.sir_feasible(inst, route)
+            verdict = None
+        except MalformedInputError as exc:
+            verdict = str(exc)
+        assert "events" not in vars(route)
+        with_events = ss.Route(events=route.events)  # the full event walk
+        try:
+            with_events.validate(inst)
+            assert verdict is None
+        except MalformedInputError as exc:
+            assert verdict == str(exc)
+        assert (verdict is None) == (sorted(route.pickup_order) == [1, 2, 3, 4])

@@ -306,6 +306,23 @@ def test_listing_makes_no_object_per_order():
     assert retained < 2 * 2**20  # 0.62 MB measured, 315 KB of it the orders
 
 
+def test_enumerate_leaves_no_reference_cycle():
+    # the walk's nested ``extend`` held itself through its closure cell: 21 objects,
+    # the listing's blocks among them, waited for the collector after every call
+    rng = np.random.default_rng(0)
+    inst = ss.reduce_path_tsp(ss.from_euclidean(rng.uniform(0.0, 10.0, size=(8, 2)).tolist()))
+    ss.enumerate_sir_routes(inst, limit=0)  # the instance's cached tables
+    gc.collect()
+    gc.disable()
+    try:
+        result = ss.enumerate_sir_routes(inst)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert len(result.routes) == 40_320
+    assert freed == 0
+
+
 @pytest.mark.parametrize("rel", [math.nan, math.inf, -1e-9, "1e-9", None],
                          ids=["nan", "inf", "negative", "str", "none"])
 @every_search
