@@ -10,6 +10,7 @@ verify such tables for single-dropoff routes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .feasibility import (
     sir_feasible,
     stage_costs,
 )
-from .instances import Instance, Route
+from .instances import Instance, Route, _check_integer
 from .numeric import DEFAULT_REL_TOL, approx_eq, check_tolerance, comparison_tolerance
 
 
@@ -40,6 +41,9 @@ class BetaVector:
 
     def __post_init__(self):
         for b in self.betas:
+            # a float passes at once, without the slower abstract-class check
+            if type(b) is not float and (isinstance(b, bool) or not isinstance(b, numbers.Real)):
+                raise MalformedInputError(f"beta values must be real numbers, not {b!r}")
             if not 0.0 <= b <= 1.0:
                 raise MalformedInputError(f"beta value {b} outside [0, 1]")
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
@@ -55,6 +59,14 @@ class BetaVector:
 
     def __len__(self) -> int:
         return len(self.betas)
+
+
+def _stage_betas(instance: Instance, values: Sequence[float] | BetaVector) -> BetaVector:
+    """The betas of ``values``, once they hold one per stage 2..n."""
+    betas = BetaVector.of(values)
+    if len(betas) != max(instance.n - 1, 0):
+        raise MalformedInputError(f"need {instance.n - 1} beta values, got {len(betas)}")
+    return betas
 
 
 @dataclass(frozen=True)
@@ -113,10 +125,8 @@ def beta_fair_table(instance: Instance, route: Route,
     operator-side surplus with direct compensation for their inconvenience.
     """
     instance.require_single_dropoff("fair-share construction")
-    betas = BetaVector.of(betas)
+    betas = _stage_betas(instance, betas)
     n = instance.n
-    if len(betas) != max(n - 1, 0):
-        raise MalformedInputError(f"need {n - 1} beta values, got {len(betas)}")
     verdict = sir_feasible(instance, route, rel=rel)
     if not verdict.feasible:
         raise InfeasibleRouteError(
@@ -209,7 +219,7 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     Raises if some stage's total benefit is zero, where ratios are undefined.
     """
     instance.require_single_dropoff("fairness verification")
-    betas = BetaVector.of(betas)
+    betas = _stage_betas(instance, betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
     alphas = instance.alphas
     residuals = []
@@ -255,6 +265,7 @@ def neutral_beta_from_increments(increments: Sequence[float], incoming: float) -
 
 
 def neutral_beta(instance: Instance, route: Route, j: int) -> float:
+    _check_integer("stage j", j)
     if not 2 <= j <= instance.n:
         raise MalformedInputError(f"stage {j} out of range 2..{instance.n}")
     costs = stage_costs(instance, route)

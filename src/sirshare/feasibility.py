@@ -95,8 +95,17 @@ def _walk(instance: Instance, route: Route, events) -> tuple[float, dict[int, fl
 
 
 def stage_costs(instance: Instance, route: Route) -> StageCosts:
-    """Stage distances and costs of a route; validates it (cached per route)."""
+    """Stage distances and costs of a route; validates it (cached per route).
+
+    Computed once per (instance, route): the route keeps the result as its
+    ledger, keyed by the instance's identity, so every checker on the same
+    pair reads the very same object. A route used with another instance
+    gets that instance's costs, and keeps them in turn.
+    """
     route.validate(instance)
+    kept = vars(route).get("_ledger")
+    if kept is not None and kept[0] is instance:
+        return kept[1]
     n = instance.n
     order = route.pickup_order
     alphas = instance.alphas
@@ -130,7 +139,7 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
         for i in range(1, j + 1):
             ic[i][j] = alphas[i - 1] * (d_i[i][j] - direct[i])
 
-    return StageCosts(
+    costs = StageCosts(
         n=n,
         d=tuple(d),
         d_i=tuple(tuple(row) for row in d_i),
@@ -138,6 +147,8 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
         oc=tuple(oc),
         ic=tuple(tuple(row) for row in ic),
     )
+    vars(route)["_ledger"] = (instance, costs)
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,10 @@ def disutility_trace(instance: Instance, route: Route, table: CostShareTable,
         costs = stage_costs(instance, route)
     n = costs.n
     aop = instance.alpha_op
-    freeze = last_boarding_before_exit(route)
+    if instance.dropoff_mode == SINGLE:  # every rider leaves after the last boarding
+        freeze = (n,) * n
+    else:
+        freeze = last_boarding_before_exit(route)
     shares = table.shares
     rows = []
     for i in range(1, n + 1):

@@ -462,6 +462,12 @@ class Route:
     dropoff events are tagged with the rider's boarding rank (rider j is
     whoever boarded j-th). ``single_dropoff`` routes store only ``pickup_order``,
     the pickups before the shared dropoff, and derive ``events`` on first read.
+
+    A route also caches what it derives: its shape check, and the ledger of
+    stage costs that ``feasibility.stage_costs`` keeps for the last instance
+    it served. Pickling and copying carry only the field the route was built
+    from, so neither the ledger (nor its instance) is pickled or copied;
+    ``==``, ``hash`` and ``repr`` read ``events`` alone.
     """
 
     events: tuple[tuple[str, int], ...]
@@ -476,6 +482,11 @@ class Route:
         route = object.__new__(cls)
         vars(route)["pickup_order"] = order
         return route
+
+    def __getstate__(self) -> dict:
+        state = vars(self)
+        defining = next(iter(state))  # ``events``, or ``pickup_order`` of a single_dropoff route
+        return {defining: state[defining]}
 
     @cached_property
     def pickup_order(self) -> tuple[int, ...]:

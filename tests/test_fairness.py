@@ -171,6 +171,34 @@ def test_beta_vector_validation():
         ss.beta_fair_table(inst, ROUTE2, [0.5, 0.5])  # wrong length
 
 
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.True_], ids=["str", "none", "bool", "numpy-bool"])
+def test_beta_vector_rejects_entries_that_are_not_real_numbers(bad):
+    with pytest.raises(MalformedInputError, match="real numbers"):
+        ss.BetaVector(betas=(0.5, bad))
+    with pytest.raises(MalformedInputError, match="real numbers"):
+        ss.beta_fair_table(ss.generate_sqrt_tight_instance(3), ss.Route.single_dropoff([3, 2, 1]),
+                           [bad, 0.5])
+
+
+@pytest.mark.parametrize("betas", [[], [0.5], [0.5, 0.5, 0.5]], ids=["none", "too-few", "too-many"])
+def test_verify_fairness_ratios_needs_one_beta_per_stage(betas):
+    inst = random_feasible_instance(np.random.default_rng(8), 3)
+    route = ss.Route.single_dropoff([1, 2, 3])
+    table = ss.beta_fair_table(inst, route, [0.5, 0.5])
+    assert ss.verify_fairness_ratios(inst, route, table, [0.5, 0.5])[0]
+    with pytest.raises(MalformedInputError, match="need 2 beta values, got"):
+        ss.verify_fairness_ratios(inst, route, table, betas)
+
+
+@pytest.mark.parametrize("j", [2.0, "2", None, True], ids=["float", "str", "none", "bool"])
+def test_neutral_beta_rejects_a_stage_that_is_not_an_integer(j):
+    inst = random_feasible_instance(np.random.default_rng(8), 3)
+    route = ss.Route.single_dropoff([1, 2, 3])
+    ss.neutral_beta(inst, route, 2)
+    with pytest.raises(MalformedInputError, match="stage j must be an integer"):
+        ss.neutral_beta(inst, route, j)
+
+
 def test_witness_equals_beta_zero_table():
     rng = np.random.default_rng(16)
     for _ in range(10):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import sirshare as ss
-from sirshare.errors import BudgetBalanceError, InfeasibleRouteError, MalformedInputError
+from sirshare.errors import (
+    BudgetBalanceError,
+    IndeterminateRatioError,
+    InfeasibleRouteError,
+    MalformedInputError,
+)
 from sirshare.numeric import approx_leq
 
 from corpus import (
@@ -133,6 +138,125 @@ def test_stage_costs_oc_consistency():
     costs = ss.stage_costs(inst, route)
     for j in range(1, 6):
         assert costs.oc[j] == pytest.approx(inst.alpha_op * costs.d[j], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one ledger per (instance, route)
+# ---------------------------------------------------------------------------
+
+def test_stage_costs_are_kept_per_route():
+    inst = ss.generate_sqrt_tight_instance(6)
+    route = ss.Route.single_dropoff([1, 2, 3, 4, 5, 6])
+    assert ss.stage_costs(inst, route) is ss.stage_costs(inst, route)
+
+
+def test_a_second_instance_gets_its_own_costs():
+    route = ss.Route.single_dropoff([2, 1, 3])
+    first, second = ss.generate_sqrt_tight_instance(3), ss.generate_lower_bound_instance(3)
+    for inst in (first, second, first):
+        costs = ss.stage_costs(inst, route)
+        assert costs == ss.stage_costs(inst, ss.Route.single_dropoff([2, 1, 3]))
+        assert ss.stage_costs(inst, route) is costs
+    assert ss.stage_costs(first, route) != ss.stage_costs(second, route)
+    with pytest.raises(MalformedInputError):  # a kept ledger never skips the route check
+        ss.stage_costs(ss.generate_sqrt_tight_instance(4), route)
+
+
+def _ledger_pass(inst, route):
+    """Every checker on one (instance, route), in the order of a ledger op."""
+    table = ss.witness_scheme(inst, route)
+    out = [table, ss.is_sir(inst, route, table), ss.is_ir(inst, route, table),
+           ss.reverse_meter(inst, route, table), ss.disutility_trace(inst, route, table)]
+    if inst.dropoff_mode == "single":
+        betas = [0.5] * (inst.n - 1)
+        beta = ss.beta_fair_table(inst, route, betas)
+        out += [beta, ss.benefit_breakdown(inst, route, beta),
+                ss.verify_fairness_ratios(inst, route, beta, betas)]
+    else:
+        out.append(ss.sir_feasible(inst, route))
+    for j in range(2, inst.n + 1):
+        try:
+            out.append(ss.neutral_beta(inst, route, j))
+        except IndeterminateRatioError as exc:  # no rider is inconvenienced at stage j
+            out.append(repr(exc))
+    return out
+
+
+def _multi_ledger_case():
+    """A feasible multi-dropoff route: every leg heads towards the origin,
+    and two riders leave before the last boarding."""
+    coords = [1.0, 2.0, 3.0, 4.0, 0.0, 1.5, 0.5, 2.5]  # pickups 1..4, then their dropoffs
+    inst = ss.Instance(dist=ss.from_euclidean(coords), n=4, dropoff_mode="multi",
+                       alpha_op=1.0, alphas=(1.0, 2.0, 0.5, 1.0))
+    route = ss.Route(events=(("P", 4), ("P", 3), ("D", 1), ("P", 2),
+                             ("D", 3), ("P", 1), ("D", 2), ("D", 4)))
+    return inst, route
+
+
+@pytest.mark.parametrize("case", ["single", "multi"])
+def test_one_ledger_pass_builds_stage_costs_once(case, monkeypatch):
+    if case == "single":
+        inst = random_feasible_instance(np.random.default_rng(5), 12)
+        route = ss.Route.single_dropoff(range(1, 13))
+    else:
+        inst, route = _multi_ledger_case()
+    built = []
+    init = ss.StageCosts.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ss.StageCosts, "__init__", counted)
+    _ledger_pass(inst, route)
+    _ledger_pass(inst, route)
+    assert len(built) == 1
+
+
+def test_ledger_results_do_not_depend_on_the_first_checker():
+    inst = random_feasible_instance(np.random.default_rng(9), 8)
+    order = range(1, 9)
+    table = ss.witness_scheme(inst, ss.Route.single_dropoff(order))
+    checks = {
+        "stage_costs": lambda r: ss.stage_costs(inst, r),
+        "witness": lambda r: ss.witness_scheme(inst, r),
+        "is_sir": lambda r: ss.is_sir(inst, r, table),
+        "is_ir": lambda r: ss.is_ir(inst, r, table),
+        "reverse_meter": lambda r: ss.reverse_meter(inst, r, table),
+        "neutral_beta": lambda r: ss.neutral_beta(inst, r, 5),
+    }
+    fresh = {name: repr(check(ss.Route.single_dropoff(order))) for name, check in checks.items()}
+    for first in checks:
+        route = ss.Route.single_dropoff(order)
+        names = [first] + [name for name in checks if name != first]
+        assert {name: repr(checks[name](route)) for name in names} == fresh, first
+
+
+def test_an_order_only_route_derives_no_events_in_its_ledger():
+    inst = random_feasible_instance(np.random.default_rng(21), 7)
+    route = ss.Route.single_dropoff(range(1, 8))
+    table = ss.witness_scheme(inst, route)
+    ss.is_sir(inst, route, table)
+    ss.is_ir(inst, route, table)
+    meter = ss.reverse_meter(inst, route, table)
+    assert "events" not in vars(route)
+    assert meter == ss.reverse_meter(inst, ss.Route(events=route.events), table)
+
+
+@pytest.mark.parametrize("build", [ss.Route.single_dropoff, lambda order: ss.Route(
+    events=tuple(("P", p) for p in order) + tuple(("D", r) for r in range(1, len(order) + 1)))],
+    ids=["single_dropoff", "events"])
+def test_a_route_pickles_and_copies_without_its_ledger(build):
+    inst = random_feasible_instance(np.random.default_rng(20), 20)
+    route = build(range(1, 21))
+    before = len(pickle.dumps(route))
+    _ledger_pass(inst, route)
+    assert "_ledger" in vars(route)
+    for copied in (pickle.loads(pickle.dumps(route)), copy.deepcopy(route), copy.copy(route)):
+        assert copied == route and hash(copied) == hash(route) and repr(copied) == repr(route)
+        assert "_ledger" not in vars(copied)
+    assert len(pickle.dumps(route)) <= before
+    assert ss.stage_costs(inst, copy.deepcopy(route)) == ss.stage_costs(inst, route)
 
 
 # ---------------------------------------------------------------------------
