@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -23,7 +22,7 @@ from . import allocation as alloc_mod
 from . import fairness, feasibility, instances, search, starvation
 from .errors import InfeasibleRouteError, MalformedInputError, SirshareError
 from .instances import DROPOFF, PICKUP, Instance, Route
-from .numeric import DEFAULT_REL_TOL
+from .numeric import DEFAULT_REL_TOL, check_tolerance
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -486,8 +485,10 @@ def _resolve_tolerance(parser: _Parser, args) -> None:
                 args.tolerance = float(raw)
             except ValueError:
                 parser.error(f"argument --tolerance: invalid float value: {raw!r}")
-    if not 0.0 <= args.tolerance < math.inf:
-        parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
+    try:
+        check_tolerance(args.tolerance)
+    except MalformedInputError as exc:
+        parser.error(f"argument --tolerance: {exc}")
 
 
 def main(argv=None) -> int:

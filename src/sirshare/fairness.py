@@ -17,7 +17,6 @@ from typing import Sequence
 from .errors import (
     DegenerateWeightsError,
     IndeterminateRatioError,
-    InfeasibleRouteError,
     MalformedInputError,
     UnsupportedAssumptionError,
 )
@@ -25,8 +24,8 @@ from .feasibility import (
     CostShareTable,
     DisutilityTrace,
     _balanced_costs,
-    disutility_trace,
-    sir_feasible,
+    _balanced_trace,
+    _require_feasible,
     stage_costs,
 )
 from .instances import Instance, Route, _check_integer
@@ -127,12 +126,7 @@ def beta_fair_table(instance: Instance, route: Route,
     instance.require_single_dropoff("fair-share construction")
     betas = _stage_betas(instance, betas)
     n = instance.n
-    verdict = sir_feasible(instance, route, rel=rel)
-    if not verdict.feasible:
-        raise InfeasibleRouteError(
-            f"route is not SIR-feasible at stage {verdict.first_violation}",
-            stage=verdict.first_violation,
-        )
+    _require_feasible(instance, route, rel)
     order = route.pickup_order
     aop = instance.alpha_op
     alphas = instance.alphas
@@ -280,5 +274,4 @@ def reverse_meter(instance: Instance, route: Route,
     This is the disutility trace of the table: it starts at the private
     fare and, under any SIR table, only ever decreases as riders join.
     """
-    costs = _balanced_costs(instance, route, table, rel)
-    return disutility_trace(instance, route, table, costs)
+    return _balanced_trace(instance, route, table, rel)

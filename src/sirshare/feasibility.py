@@ -108,7 +108,7 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
         return kept[1]
     n = instance.n
     order = route.pickup_order
-    alphas = instance.alphas
+    alphas = instance._priced_alphas
     aop = instance.alpha_op
 
     d = [0.0] * (n + 1)
@@ -227,10 +227,8 @@ def last_boarding_before_exit(route: Route) -> tuple[int, ...]:
     return tuple(out[1:])
 
 
-def disutility_trace(instance: Instance, route: Route, table: CostShareTable,
-                     costs: StageCosts | None = None) -> DisutilityTrace:
-    if costs is None:
-        costs = stage_costs(instance, route)
+def disutility_trace(instance: Instance, route: Route, table: CostShareTable) -> DisutilityTrace:
+    costs = stage_costs(instance, route)
     n = costs.n
     aop = instance.alpha_op
     if instance.dropoff_mode == SINGLE:  # every rider leaves after the last boarding
@@ -254,6 +252,13 @@ def disutility_trace(instance: Instance, route: Route, table: CostShareTable,
     return DisutilityTrace(du=tuple(rows))
 
 
+def _balanced_trace(instance: Instance, route: Route, table: CostShareTable,
+                    rel: float) -> DisutilityTrace:
+    """The table's disutility trace, once the table is checked to balance the route."""
+    _balanced_costs(instance, route, table, rel)
+    return disutility_trace(instance, route, table)
+
+
 def is_ir(instance: Instance, route: Route, table: CostShareTable,
           rel: float = DEFAULT_REL_TOL) -> tuple[bool, list[tuple[int, float]]]:
     """Whether no rider ends worse off than riding alone.
@@ -262,13 +267,11 @@ def is_ir(instance: Instance, route: Route, table: CostShareTable,
     must be budget balanced; otherwise a :class:`BudgetBalanceError` names
     the offending stage.
     """
-    costs = _balanced_costs(instance, route, table, rel)
-    trace = disutility_trace(instance, route, table, costs)
+    trace = _balanced_trace(instance, route, table, rel)
     violations = []
-    for i in range(1, costs.n + 1):
-        row = trace.row(i)
-        excess = row[costs.n] - row[0]
-        if excess > comparison_tolerance(max(abs(row[costs.n]), abs(row[0])), rel):
+    for i, row in enumerate(trace.du, start=1):
+        excess = row[-1] - row[0]
+        if excess > comparison_tolerance(max(abs(row[-1]), abs(row[0])), rel):
             violations.append((i, excess))
     return (not violations, violations)
 
@@ -279,12 +282,10 @@ def is_sir(instance: Instance, route: Route, table: CostShareTable,
 
     Returns the verdict plus (rider, stage, excess) violations.
     """
-    costs = _balanced_costs(instance, route, table, rel)
-    trace = disutility_trace(instance, route, table, costs)
+    trace = _balanced_trace(instance, route, table, rel)
     violations = []
-    for i in range(1, costs.n + 1):
-        row = trace.row(i)
-        for j in range(1, costs.n + 1):
+    for i, row in enumerate(trace.du, start=1):
+        for j in range(1, len(row)):
             excess = row[j] - row[j - 1]
             if excess > comparison_tolerance(max(abs(row[j]), abs(row[j - 1])), rel):
                 violations.append((i, j, excess))
@@ -415,6 +416,13 @@ def sir_feasible(instance: Instance, route: Route,
     return _lazy_result(first_violation, pairs)
 
 
+def _require_feasible(instance: Instance, route: Route, rel: float) -> None:
+    """Raise InfeasibleRouteError at the first stage that ``sir_feasible`` rejects."""
+    stage = sir_feasible(instance, route, rel=rel).first_violation
+    if stage is not None:
+        raise InfeasibleRouteError(f"route is not SIR-feasible at stage {stage}", stage=stage)
+
+
 def witness_scheme(instance: Instance, route: Route,
                    rel: float = DEFAULT_REL_TOL) -> CostShareTable:
     """Budget-balanced table that is SIR whenever the route is feasible.
@@ -426,12 +434,7 @@ def witness_scheme(instance: Instance, route: Route,
     own inconvenience at every stage; a failure identifies the stage at
     which no budget-balanced SIR table can exist.
     """
-    verdict = sir_feasible(instance, route, rel=rel)
-    if not verdict.feasible:
-        raise InfeasibleRouteError(
-            f"route is not SIR-feasible at stage {verdict.first_violation}",
-            stage=verdict.first_violation,
-        )
+    _require_feasible(instance, route, rel)
     costs = stage_costs(instance, route)
     n = costs.n
     aop = instance.alpha_op

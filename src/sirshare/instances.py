@@ -12,18 +12,21 @@ some generators intentionally produce them, and consumers that require a
 metric must check the flag.
 
 Table invariant: every :class:`DistanceTable` holds a square, finite,
-read-only float array. The check runs when the table is built, whoever
-builds it (``from_matrix``, ``from_euclidean`` or a generator), and raises
-:class:`MalformedInputError` for ragged, non-numeric, non-square or
-non-finite input, so no consumer checks the entries again.
+read-only float array whose largest magnitude times m**2 (m points) is
+finite. The check runs when the table is built, whoever builds it
+(``from_matrix``, ``from_euclidean`` or a generator), and raises
+:class:`MalformedInputError` for ragged, non-numeric, non-square,
+non-finite or overflowing input, so no consumer checks the entries again.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, MalformedInputError, UnsupportedModeError
-from .numeric import ABS_FLOOR, DEFAULT_REL_TOL, check_tolerance
+from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerances
 
 SINGLE = "single"
 MULTI = "multi"
@@ -69,7 +72,9 @@ class MetricReport:
 
 
 def _as_square_matrix(entries) -> np.ndarray:
-    """The table check: outside input as a square, finite float array."""
+    """The table check: outside input as a square, finite float array whose
+    largest magnitude times m**2 is finite, so no sum the package forms from
+    it overflows."""
     try:
         arr = np.asarray(entries, dtype=float)
     except OverflowError as exc:  # an int beyond float range
@@ -80,14 +85,13 @@ def _as_square_matrix(entries) -> np.ndarray:
         raise MalformedInputError(f"distance table must be square, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise MalformedInputError("distance table contains NaN or infinite entries")
+    m = arr.shape[0]
+    peak = float(np.abs(arr).max()) if arr.size else 0.0
+    if not math.isfinite(peak * m * m):  # in Python floats, so numpy does not warn
+        raise MalformedInputError(
+            f"distance table entries reach {peak:.6g}; sums over {m} points would overflow"
+        )
     return arr
-
-
-def _tolerances(scale: np.ndarray, rel_tol: float):
-    """Elementwise ``comparison_tolerance`` for a nonnegative scale array."""
-    if rel_tol == 0.0:
-        return 0  # an int keeps integer tables in integer arithmetic
-    return np.maximum(rel_tol * scale, ABS_FLOOR)
 
 
 def _hard_violations(d: np.ndarray, rel_tol: float) -> list[MetricViolation]:
@@ -96,12 +100,12 @@ def _hard_violations(d: np.ndarray, rel_tol: float) -> list[MetricViolation]:
     violations: list[MetricViolation] = []
 
     diag = np.abs(np.diagonal(d))
-    for a in np.flatnonzero(diag > _tolerances(diag, rel_tol)):
+    for a in np.flatnonzero(diag > comparison_tolerances(diag, rel_tol)):
         violations.append(MetricViolation("diagonal", (int(a),), float(diag[a])))
 
     gap = np.abs(d - d.T)
-    asym = gap > _tolerances(np.maximum(np.abs(d), np.abs(d.T)), rel_tol)
-    neg = d < -_tolerances(np.abs(d), rel_tol)
+    asym = gap > comparison_tolerances(np.maximum(np.abs(d), np.abs(d.T)), rel_tol)
+    neg = d < -comparison_tolerances(np.abs(d), rel_tol)
     for a, b in zip(*np.nonzero(asym | neg)):
         if a < b:  # the upper triangle, in row-major order
             pair = (int(a), int(b))
@@ -148,7 +152,7 @@ def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
         keep = (a < c) & (b != a) & (b != c)  # one report per endpoint pair and witness
         a, b, c, via = a[keep], b[keep], c[keep], via[keep]
         direct = d[a, c]
-        bad = direct > via + _tolerances(np.maximum(np.abs(direct), np.abs(via)), rel_tol)
+        bad = direct > via + comparison_tolerances(np.maximum(abs(direct), abs(via)), rel_tol)
         for a_, b_, c_, excess in zip(a[bad], b[bad], c[bad], (direct - via)[bad]):
             violations.append(
                 MetricViolation("triangle", (int(a_), int(b_), int(c_)), float(excess))
@@ -161,7 +165,10 @@ def validate_metric(table, rel_tol: float = DEFAULT_REL_TOL) -> MetricReport:
 class DistanceTable:
     """Symmetric nonnegative distance matrix with a metric flag.
 
-    ``entries`` is a read-only copy that passed the table check.
+    ``entries`` is a read-only copy that passed the table check, which also
+    bounds the entries: the largest magnitude times m**2, for m points, must
+    be finite. That covers every sum formed from the table: route lengths,
+    the allocation's 3·n·max scale and the search's n(n+1)·max rounding slack.
     ``metric_flag`` asserts the triangle inequality holds. Generators that
     prove it by construction pass it directly, and so does a file that
     declares it: a declared flag is a claim that ``metric_report`` checks on
@@ -273,15 +280,15 @@ def _checked_rates(n: int, alpha_op: float,
     return alpha_op, alphas
 
 
+def _prefix_sums(alphas: Sequence[float]) -> list[float]:
+    """``[0.0, alpha_1, alpha_1 + alpha_2, ...]``, the one left-to-right fold."""
+    return list(itertools.accumulate(alphas, initial=0.0))
+
+
 def _stage_denominators(alpha_op: float, alphas: Sequence[float]) -> list[float]:
-    """``1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op`` for stages j = 1..n, the
-    sensitivities summed left to right from 0.0: stage j's budget is the
-    newcomer's direct distance over the j-th entry."""
-    denoms, acc = [], 0.0
-    for a in alphas:
-        denoms.append(1.0 + acc / alpha_op)
-        acc += a
-    return denoms
+    """``1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op`` for stages j = 1..n:
+    stage j's budget is the newcomer's direct distance over the j-th entry."""
+    return [1.0 + acc / alpha_op for acc in _prefix_sums(alphas)[:-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +301,8 @@ class Instance:
     sensitivity of whoever boards j-th. ``regime`` selects how feasibility
     bounds treat the sensitivities: as given (``finite``), or in the limits
     where they vanish (``zero``) or dominate (``infinite``) relative to the
-    operator rate; in the limit regimes the stored values are ignored by
-    feasibility checks.
+    operator rate; in the limit regimes feasibility checks ignore the stored
+    values, and in ``zero`` the stage costs ignore them too.
     """
 
     dist: DistanceTable
@@ -374,20 +381,20 @@ class Instance:
         what the j-th boarding, at pickup b, may add; all of d(b,D) when the
         weights vanish (``zero``), 0.0 when they dominate (``infinite``)."""
         n, direct = self.n, self.direct
-        if self.regime == REGIME_ZERO:
-            return [list(direct) for _ in range(n + 1)]
         if self.regime == REGIME_INFINITE:
             return [[0.0] * (n + 1) for _ in range(n + 1)]
-        denoms = _stage_denominators(self.alpha_op, self.alphas)
+        denoms = _stage_denominators(self.alpha_op, self._priced_alphas)
         return [[0.0] * (n + 1)] + [[d / denom for d in direct] for denom in denoms]
+
+    @cached_property
+    def _priced_alphas(self) -> tuple[float, ...]:
+        """The sensitivities stage budgets and inconvenience costs use: 0.0 in ``zero``."""
+        return (0.0,) * self.n if self.regime == REGIME_ZERO else self.alphas
 
     @cached_property
     def alpha_prefix(self) -> tuple[float, ...]:
         """alpha_prefix[j] = sum of the first j sensitivities."""
-        sums = [0.0]
-        for a in self.alphas:
-            sums.append(sums[-1] + a)
-        return tuple(sums)
+        return tuple(_prefix_sums(self.alphas))
 
     # -- serialization --
 
@@ -474,7 +481,17 @@ class Route:
 
     @classmethod
     def single_dropoff(cls, order: Iterable[int]) -> "Route":
-        return cls._of_order(tuple(map(int, order)))
+        """The route boarding ``order`` (pickup labels) before the shared dropoff.
+
+        Raises MalformedInputError for a label that is not an integer.
+        """
+        order = tuple(order)
+        try:
+            if not any(isinstance(p, bool) for p in order):  # a bool is not a label
+                return cls._of_order(tuple(map(operator.index, order)))
+        except TypeError:
+            pass
+        raise MalformedInputError(f"route labels must be integers, got {order!r}")
 
     @classmethod
     def _of_order(cls, order: tuple[int, ...]) -> "Route":
@@ -502,15 +519,22 @@ class Route:
         permutation of 1..n; first other defect or None; whether a dropoff
         precedes a pickup)."""
         n = self.n
-        if sorted(self.pickup_order) != list(range(1, n + 1)):
-            return -1, None, False
-        if "events" not in vars(self):  # an order alone derives well-formed events
-            return n, None, False
-        drop_ranks = [idx for kind, idx in self.events if kind == DROPOFF]
-        if sorted(drop_ranks) != list(range(1, n + 1)):
-            return n, "route must drop off each rider exactly once", False
+        try:
+            if sorted(self.pickup_order) != list(range(1, n + 1)):
+                return -1, None, False
+            if "events" not in vars(self):  # an order alone derives well-formed events
+                return n, None, False
+            drop_ranks = [idx for kind, idx in self.events if kind == DROPOFF]
+            if sorted(drop_ranks) != list(range(1, n + 1)):
+                return n, "route must drop off each rider exactly once", False
+        except TypeError:  # a label that does not compare with numbers
+            return n, f"route labels must be integers, got {self.events!r}", False
         seen_pickups = 0
         for kind, idx in self.events:
+            # a label that equals an int passed the checks above; a bool is no label
+            if type(idx) is not int and (isinstance(idx, bool)
+                                         or not isinstance(idx, numbers.Integral)):
+                return n, f"route labels must be integers, not {idx!r}", False
             if kind == PICKUP:
                 seen_pickups += 1
             elif kind != DROPOFF:
@@ -664,12 +688,15 @@ def generate_exp_tight_instance(n: int, ell: float = 1.0) -> Instance:
 
     Pickup i sits at distance 2**(i-1) * ell; with sensitivities that vanish
     relative to the operator rate the ascending route is feasible with every
-    stage bound tight.
+    stage bound tight. A position beyond float range raises ConstructionError.
     """
     if n < 1:
         raise ConstructionError("need n >= 1")
     _check_positive("ell", ell)
-    positions = [float(2 ** (i - 1)) * ell for i in range(1, n + 1)]
+    try:
+        positions = [math.ldexp(ell, i - 1) for i in range(1, n + 1)]
+    except OverflowError:
+        raise ConstructionError(f"pickup {n} at 2**{n - 1} * ell is beyond float range") from None
     table = from_euclidean(positions + [0.0])
     return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
                     alphas=(0.0,) * n, regime=REGIME_ZERO)

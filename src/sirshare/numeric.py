@@ -3,7 +3,9 @@
 Every feasibility verdict and equality check in the package goes through
 these: comparisons use a relative tolerance with an absolute floor, and a
 relative tolerance of exactly 0 selects strict comparisons (useful when the
-inputs are exact, e.g. dyadic rationals).
+inputs are exact, e.g. dyadic rationals). The slack has one formula in two
+forms: ``comparison_tolerance`` for one scale, ``comparison_tolerances`` for
+an array of scales.
 """
 
 import math
@@ -39,6 +41,16 @@ def comparison_tolerance(scale: float, rel: float = DEFAULT_REL_TOL) -> float:
     if rel == 0.0:
         return 0.0
     return max(rel * abs(scale), ABS_FLOOR)
+
+
+def comparison_tolerances(scale: np.ndarray, rel: float = DEFAULT_REL_TOL):
+    """Elementwise ``comparison_tolerance`` for an array of nonnegative scales.
+    At ``rel == 0`` this is the int 0, which keeps integer arrays in integer
+    arithmetic; an overflowing slack reads as inf, as in ``approx_leq``."""
+    if rel == 0.0:
+        return 0
+    with np.errstate(over="ignore"):
+        return np.maximum(rel * scale, ABS_FLOOR)
 
 
 def approx_leq(a: float, b: float, rel: float = DEFAULT_REL_TOL) -> bool:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import MalformedInputError, SizeError
 from .instances import Instance, Route, _check_integer
-from .numeric import ABS_FLOOR, DEFAULT_REL_TOL, check_tolerance
+from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerances
 
 DEFAULT_CAP = 10
 
@@ -121,19 +121,16 @@ def _stage_verdicts(instance: Instance, rel: float) -> np.ndarray:
     """``passes[j, a, b-1]``: may pickup b board j-th right after pickup a?
 
     For j >= 2 and a >= 1 a cell is ``approx_leq(detour[a][b], budget[j][b],
-    rel)``, with that tolerance formula applied elementwise. Stage 1 passes
+    rel)``, with ``comparison_tolerances`` as its slack. Stage 1 passes
     only from a = 0, because anyone may board first; every other cell of
     stage 0, stage 1 and row a = 0 fails.
     """
     n = instance.n
     detour = np.array(instance.detour)[1:, 1:]  # [a-1, b-1]
     budget = np.array(instance.budget)[2:, None, 1:]  # [j-2, -, b-1]
-    if rel == 0.0:
-        fits = detour <= budget
-    else:
-        with np.errstate(over="ignore"):  # an overflowing slack is inf, as in approx_leq
-            scale = np.maximum(np.abs(detour), np.abs(budget))
-            fits = detour <= budget + np.maximum(rel * scale, ABS_FLOOR)
+    slack = comparison_tolerances(np.maximum(np.abs(detour), np.abs(budget)), rel)
+    with np.errstate(over="ignore"):  # a budget plus a huge slack is inf, as in approx_leq
+        fits = detour <= budget + slack
     passes = np.zeros((n + 1, n + 1, n), dtype=bool)
     passes[1, 0] = True
     passes[2:, 1:] = fits
@@ -195,6 +192,17 @@ def _search(instance: Instance, rel: float, cap: int,
     finally:
         extend = None  # ``extend`` holds itself through its closure cell: free the cycle now
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
+
+
+def _state_table(n: int) -> list:
+    """One empty slot per subset of n riders, for the dynamic programs.
+
+    Raises SizeError when Python cannot allocate the 2**n slots.
+    """
+    try:
+        return [None] * (1 << n)
+    except (OverflowError, MemoryError):
+        raise SizeError(f"n={n} needs a table of 2**{n} states, more than can be allocated") from None
 
 
 def _rounding_slack(instance: Instance) -> float:
@@ -290,7 +298,7 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     slack = _rounding_slack(instance)
     full = (1 << n) - 1
     # states[mask][last]: labels of the feasible orders of ``mask`` ending at ``last``
-    states: list[dict[int, list] | None] = [None] * (full + 1)
+    states: list[dict[int, list] | None] = _state_table(n)
     for p in range(1, n + 1):
         states[1 << (p - 1)] = {p: [(0.0, (p,))]}
     for mask in range(1, full):

@@ -31,6 +31,7 @@ from .search import (
     _rounding_slack,
     _search,
     _stage_verdicts,
+    _state_table,
 )
 
 
@@ -152,7 +153,7 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
     before = [[0] + row
               for row in _masks(_stage_verdicts(instance, rel)[:, 1:].transpose(0, 2, 1))]
     # states[suffix][first]: labels of the feasible orders of ``suffix`` starting at ``first``
-    states: list[dict[int, list] | None] = [None] * (full + 1)
+    states: list[dict[int, list] | None] = _state_table(n)
     for f in range(1, n + 1):
         states[1 << (f - 1)] = {f: [(direct[f], 1.0, (f,))]}
     for suffix in range(1, full):

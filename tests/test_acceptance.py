@@ -24,6 +24,8 @@ from corpus import (
     random_feasible_instance,
     random_graph,
     random_line_positions,
+    random_multi_instance,
+    random_multi_route,
     with_regime,
 )
 
@@ -49,6 +51,37 @@ def test_criterion_1_characterization_equivalence(theorem_sweep):
     )
     assert not sweep["disagreements"], sweep["disagreements"][:5]
     assert sweep["elapsed"] < 60.0
+
+
+def test_criterion_1_holds_in_the_zero_regime_whatever_the_stored_sensitivities():
+    # The vanishing-weight regime prices no inconvenience, so nonzero stored
+    # sensitivities must move neither the verdict nor the witness table.
+    rng = np.random.default_rng(3)
+    cases = []
+    for n in range(2, 6):
+        for _ in range(12):
+            inst = random_euclidean_instance(rng, n, regime="zero")
+            cases += [(inst, ss.Route.single_dropoff(perm))
+                      for perm in itertools.permutations(range(1, n + 1))]
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(2, 5))
+        inst = random_multi_instance(rng, n)
+        cases.append((with_regime(inst, "zero", alphas=inst.alphas), random_multi_route(rng, n)))
+    assert all(min(inst.alphas) > 0.0 for inst, _ in cases)
+    feasible = {"single": 0, "multi": 0}
+    disagreements = []
+    for inst, route in cases:
+        verdict = ss.sir_feasible(inst, route).feasible
+        try:
+            built = ss.is_sir(inst, route, ss.witness_scheme(inst, route))[0]
+        except InfeasibleRouteError:
+            built = False
+        feasible[inst.dropoff_mode] += verdict
+        if verdict != built:
+            disagreements.append((inst.dropoff_mode, route.to_tokens(), verdict))
+    assert not disagreements, disagreements[:5]
+    assert feasible["single"] > 0 and feasible["multi"] > 0, feasible
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,33 @@ def test_bad_input_exits_one_with_error(env, argv, lb_instance, lb4_instance, ca
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # entries whose sums overflow: no "feasible" beside an inf stage, no inf distance
+    ["check-route", "{big}", "--route", "1,2"],
+    ["opt-route", "{big}"],
+    ["validate", "{big}"],
+    ["generate", "exp-tight", "--n", "1100"],  # pickup positions beyond float range
+    # 2**64 dynamic-program states: refused before any allocation
+    ["opt-route", "{lb64}", "--cap-override", "64"],
+    ["starvation", "{lb64}", "--cap-override", "64"],
+], ids=" ".join)
+def test_extreme_inputs_exit_one_with_error(argv, tmp_path, capsys):
+    files = {}
+    if "{big}" in argv:
+        files["big"] = tmp_path / "big.json"
+        files["big"].write_text(json.dumps({
+            "n": 2, "dropoff_mode": "single", "alpha_op": 1.0, "alphas": [1.0, 1.0],
+            "regime": "finite",
+            "distance_matrix": [[0, 1e308, 1.5e308], [1e308, 0, 1e308], [1.5e308, 1e308, 0]]}))
+    if "{lb64}" in argv:
+        files["lb64"] = tmp_path / "lb64.json"
+        ss.generate_lower_bound_instance(64).save(files["lb64"])
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 @pytest.mark.parametrize("field, value", [
     ("distance_matrix", [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]),
     ("distance_matrix", [[0.0, 1.0, 2.0], [1.0, 0.0, "x"], [2.0, "x", 0.0]]),

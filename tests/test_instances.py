@@ -123,6 +123,18 @@ def test_tables_are_checked_when_built(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    ss.DistanceTable.from_matrix,
+    lambda entries: ss.DistanceTable(entries=np.array(entries), metric_flag=True),
+], ids=["from_matrix", "direct-table"])
+def test_tables_whose_sums_overflow_are_rejected(build):
+    # largest magnitude times m**2 must be finite: 1.5e308 * 9 is not, 1e307 * 9 is
+    big = [[0.0, 1e308, 1.5e308], [1e308, 0.0, 1e308], [1.5e308, 1e308, 0.0]]
+    with pytest.raises(MalformedInputError, match="sums over 3 points would overflow"):
+        build(big)
+    assert build([[0.0, 1e307, 1e307], [1e307, 0.0, 1e307], [1e307, 1e307, 0.0]]).size == 3
+
+
 def test_table_does_not_freeze_the_callers_array():
     entries = np.array([[0.0, 1.0], [1.0, 0.0]])
     table = ss.DistanceTable(entries=entries, metric_flag=True)
@@ -390,6 +402,11 @@ def test_exp_tight_distances():
     inst = ss.generate_exp_tight_instance(3)
     assert [inst.direct_distance(i) for i in (1, 2, 3)] == [1.0, 2.0, 4.0]
     assert inst.regime == "zero"
+
+
+def test_exp_tight_positions_beyond_float_range_are_refused():
+    with pytest.raises(ConstructionError, match="beyond float range"):
+        ss.generate_exp_tight_instance(1100)
 
 
 def test_exp_tight_n1():
@@ -695,6 +712,24 @@ def test_route_validation_messages_hold_on_repeat(route, message):
         with pytest.raises(MalformedInputError) as info:
             route.validate(inst)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ss.Route.single_dropoff([1.9, 2.2, 3.0]),
+    lambda: ss.Route.single_dropoff([True, 2, 3]),
+    lambda: ss.Route.single_dropoff(["1", "2", "3"]),
+    lambda: ss.Route(events=(("P", 1.0), ("P", 2.0), ("P", 3), ("D", 1), ("D", 2), ("D", 3))),
+    lambda: ss.Route(events=(("P", 1), ("P", 2), ("P", 3), ("D", True), ("D", 2), ("D", 3))),
+    lambda: ss.Route(events=(("P", "a"), ("P", 2), ("P", 3), ("D", 1), ("D", 2), ("D", 3))),
+], ids=["float-order", "bool-order", "str-order", "float-events", "bool-dropoff", "str-events"])
+def test_route_labels_must_be_integers(build):
+    inst = ss.generate_lower_bound_instance(3)
+    with pytest.raises(MalformedInputError, match="route labels must be integers"):
+        ss.sir_feasible(inst, build())
+    # numpy integers are labels too
+    assert ss.sir_feasible(inst, ss.Route.single_dropoff(np.arange(1, 4))).feasible
+    assert ss.sir_feasible(inst, ss.Route(events=tuple(
+        [("P", p) for p in np.arange(1, 4)] + [("D", r) for r in (1, 2, 3)]))).feasible
 
 
 def test_route_validation_cache_does_not_leak_across_instances():

@@ -191,6 +191,15 @@ def test_enumerate_cap_and_override():
     assert result.routes
 
 
+def test_dynamic_programs_refuse_a_state_table_they_cannot_allocate():
+    # 2**64 states: Python refuses the list at once, without allocating it
+    inst = ss.generate_lower_bound_instance(64)
+    with pytest.raises(SizeError, match="2\\*\\*64 states"):
+        ss.opt_sir_route(inst, cap=64)
+    with pytest.raises(SizeError, match="2\\*\\*64 states"):
+        ss.min_route_starvation(inst, cap=64)
+
+
 def test_enumerate_rejects_multi_dropoff():
     table = ss.from_euclidean([(0, 0), (1, 0), (0, 1), (1, 1)])
     inst = ss.Instance(dist=table, n=2, dropoff_mode="multi",
