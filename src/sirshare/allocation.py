@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowExtractionError, MalformedInputError, SizeError
-from .instances import Instance
+from .instances import Instance, _check_integer
 from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerance
 
 BRUTE_FORCE_CAP = 9
@@ -221,8 +221,10 @@ def optimal_allocation(instance: Instance, m_prime: int | None = None,
     check_tolerance(rel)
     instance.require_single_dropoff("allocation")
     n = instance.n
-    if m_prime is not None and not 1 <= m_prime <= n:
-        raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
+    if m_prime is not None:
+        _check_integer("vehicle guess m_prime", m_prime)
+        if not 1 <= m_prime <= n:
+            raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
     rows = instance.rows
     # L as the paper's flow network sets it: 3x the largest entry (margin over
     # the 2x it needs), or 1.0 for an all-zero table; the miles fold with it

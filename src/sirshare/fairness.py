@@ -91,13 +91,14 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     the newcomer gains the private fare less what they are charged. The
     stage totals come out independent of the table (budget balance cancels
     the shares), equal to the newcomer's fare minus the detour priced at the
-    pooled sensitivity.
+    pooled sensitivity. Inconvenience is priced as the stage costs price it
+    (no sensitivity in the ``zero`` regime).
     """
     instance.require_single_dropoff("benefit accounting")
     _balanced_costs(instance, route, table, rel)
     order = route.pickup_order
     aop = instance.alpha_op
-    alphas = instance.alphas
+    priced = instance._priced_alphas
     detour = instance.detour
     shares = table.shares
     ibs = []
@@ -106,10 +107,10 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
         det = detour[order[j - 2]][order[j - 1]]
         fare = aop * instance.direct_distance(order[j - 1])
         before, after = shares[j - 2], shares[j - 1]
-        row = [before[i] - after[i] - alphas[i] * det for i in range(j - 1)]
+        row = [before[i] - after[i] - priced[i] * det for i in range(j - 1)]
         row.append(fare - after[j - 1])
         ibs.append(tuple(row))
-        tibs.append(fare - (aop + instance.alpha_prefix[j - 1]) * det)
+        tibs.append(fare - (aop + instance._priced_prefix[j - 1]) * det)
     return BenefitBreakdown(ib=tuple(ibs), tib=tuple(tibs))
 
 
@@ -122,6 +123,9 @@ def beta_fair_table(instance: Instance, route: Route,
     of the private fare and the detour priced at the pooled sensitivity;
     each existing rider's discount blends their proportional cut of the
     operator-side surplus with direct compensation for their inconvenience.
+    The stored sensitivities set the proportions alpha_i / (alpha_1 + ... +
+    alpha_{j-1}); detours are priced as the stage costs price them, so in
+    the ``zero`` regime no one is charged or compensated for inconvenience.
     """
     instance.require_single_dropoff("fair-share construction")
     betas = _stage_betas(instance, betas)
@@ -129,7 +133,7 @@ def beta_fair_table(instance: Instance, route: Route,
     _require_feasible(instance, route, rel)
     order = route.pickup_order
     aop = instance.alpha_op
-    alphas = instance.alphas
+    alphas, priced = instance.alphas, instance._priced_alphas
     detour = instance.detour
     rows: list[list[float]] = [[aop * instance.direct_distance(order[0])]]
     for j in range(2, n + 1):
@@ -144,10 +148,10 @@ def beta_fair_table(instance: Instance, route: Route,
         operator_surplus = aop * sd_j - aop * det
         keep = 1.0 - b
         row = [
-            share - (b * (alpha_i / weight_sum) * operator_surplus + keep * alpha_i * det)
-            for share, alpha_i in zip(rows[-1], alphas)
+            share - (b * (alpha_i / weight_sum) * operator_surplus + keep * pi_i * det)
+            for share, alpha_i, pi_i in zip(rows[-1], alphas, priced)
         ]
-        incoming = b * aop * sd_j + keep * (aop + weight_sum) * det
+        incoming = b * aop * sd_j + keep * (aop + instance._priced_prefix[j - 1]) * det
         row.append(incoming)
         rows.append(row)
     return CostShareTable(shares=tuple(tuple(r) for r in rows))
@@ -160,7 +164,8 @@ def xc_table(instance: Instance, route: Route,
     Each route segment's operator cost is split evenly among the riders on
     it; every rider compensates those who boarded earlier for the detour
     their own pickup caused, and is compensated by later arrivals in turn.
-    Requires every sensitivity to equal the operator rate (any common scale).
+    Requires every priced sensitivity to equal the operator rate (any common
+    scale), so the ``zero`` regime, which prices none, is unsupported.
 
     O(n**2): rider i's segment and compensation sums over the boardings
     i+1..j are running sums carried from stage j-1 to stage j, each started
@@ -171,10 +176,10 @@ def xc_table(instance: Instance, route: Route,
     instance.require_single_dropoff("segment-split table")
     route.validate(instance)
     aop = instance.alpha_op
-    for i, a in enumerate(instance.alphas, start=1):
+    for i, a in enumerate(instance._priced_alphas, start=1):
         if not approx_eq(a, aop, rel):
             raise UnsupportedAssumptionError(
-                f"rider {i} sensitivity {a} differs from operator rate {aop}; "
+                f"rider {i} priced sensitivity {a} differs from operator rate {aop}; "
                 "the segment-split table assumes equal rates"
             )
     order = route.pickup_order
@@ -272,6 +277,8 @@ def reverse_meter(instance: Instance, route: Route,
     """Running final-payment estimate per rider as boardings happen.
 
     This is the disutility trace of the table: it starts at the private
-    fare and, under any SIR table, only ever decreases as riders join.
+    fare, reads share plus inconvenience from the rider's own boarding on
+    (after their dropoff too) and, under any SIR table, never increases as
+    riders join.
     """
     return _balanced_trace(instance, route, table, rel)

@@ -19,7 +19,15 @@ from .errors import (
     InfeasibleRouteError,
     MalformedInputError,
 )
-from .instances import PICKUP, REGIME_INFINITE, REGIME_ZERO, SINGLE, Instance, Route
+from .instances import (
+    PICKUP,
+    REGIME_INFINITE,
+    REGIME_ZERO,
+    SINGLE,
+    Instance,
+    Route,
+    _check_integer,
+)
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance, comparison_tolerance
 
 
@@ -30,6 +38,7 @@ def conditional_route(route: Route, j: int) -> Route:
     relative order of what remains. For single-dropoff routes this is the
     first j pickups followed by the shared dropoff.
     """
+    _check_integer("stage j", j)
     n = route.n
     if not 1 <= j <= n:
         raise MalformedInputError(f"stage {j} out of range 1..{n}")
@@ -176,7 +185,9 @@ class CostShareTable:
 @dataclass(frozen=True)
 class DisutilityTrace:
     """``du[i-1][j]`` is rider i's disutility once j riders have boarded,
-    j running from 0 (private-ride reference) to n."""
+    j running from 0 (private-ride reference) to n: the private fare before
+    the rider boards, and their share plus inconvenience from then on, also
+    after their dropoff."""
 
     du: tuple[tuple[float, ...], ...]
 
@@ -214,40 +225,25 @@ def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
     return costs
 
 
-def last_boarding_before_exit(route: Route) -> tuple[int, ...]:
-    """For each rider, the rank of the last boarding before their dropoff."""
-    n = route.n
-    out = [0] * (n + 1)
-    seen = 0
-    for kind, idx in route.events:
-        if kind == PICKUP:
-            seen += 1
-        else:
-            out[idx] = seen
-    return tuple(out[1:])
-
-
 def disutility_trace(instance: Instance, route: Route, table: CostShareTable) -> DisutilityTrace:
+    """Each rider's disutility under the table, before and after every boarding.
+
+    Rider i's row holds the private fare ``alpha_op * direct[i]`` at stages
+    0..i-1 and ``share[i][j] + ic[i][j]`` at every stage j >= i. One rule
+    serves every rider, including one already dropped off: no leg is added
+    to a rider after their dropoff, so their inconvenience stays put and
+    only their share can still move the row.
+    """
     costs = stage_costs(instance, route)
     n = costs.n
     aop = instance.alpha_op
-    if instance.dropoff_mode == SINGLE:  # every rider leaves after the last boarding
-        freeze = (n,) * n
-    else:
-        freeze = last_boarding_before_exit(route)
     shares = table.shares
     rows = []
     for i in range(1, n + 1):
-        base = aop * costs.direct[i]
-        row = [base] * (n + 1)
+        row = [aop * costs.direct[i]] * (n + 1)
         ic = costs.ic[i]
         for j in range(i, n + 1):
-            # a boarding rank always precedes the rider's own dropoff, so
-            # freeze[i-1] >= i and row[freeze] is set before it is needed
-            if j <= freeze[i - 1]:
-                row[j] = shares[j - 1][i - 1] + ic[j]
-            else:
-                row[j] = row[freeze[i - 1]]
+            row[j] = shares[j - 1][i - 1] + ic[j]
         rows.append(tuple(row))
     return DisutilityTrace(du=tuple(rows))
 
@@ -263,9 +259,11 @@ def is_ir(instance: Instance, route: Route, table: CostShareTable,
           rel: float = DEFAULT_REL_TOL) -> tuple[bool, list[tuple[int, float]]]:
     """Whether no rider ends worse off than riding alone.
 
-    Returns the verdict plus (rider, excess) for each violation. The table
-    must be budget balanced; otherwise a :class:`BudgetBalanceError` names
-    the offending stage.
+    Compares each rider's final disutility, share plus inconvenience at
+    stage n (whether or not they were dropped off earlier), with their
+    private fare. Returns the verdict plus (rider, excess) for each
+    violation. The table must be budget balanced; otherwise a
+    :class:`BudgetBalanceError` names the offending stage.
     """
     trace = _balanced_trace(instance, route, table, rel)
     violations = []
@@ -280,7 +278,10 @@ def is_sir(instance: Instance, route: Route, table: CostShareTable,
            rel: float = DEFAULT_REL_TOL) -> tuple[bool, list[tuple[int, int, float]]]:
     """Whether every rider's disutility is nonincreasing at each boarding.
 
-    Returns the verdict plus (rider, stage, excess) violations.
+    Reads the rows of :func:`disutility_trace`: a rider's disutility is the
+    private fare until they board and share plus inconvenience from then on,
+    so a rider already dropped off may not be charged more at a later
+    boarding. Returns the verdict plus (rider, stage, excess) violations.
     """
     trace = _balanced_trace(instance, route, table, rel)
     violations = []
@@ -360,8 +361,10 @@ FeasibilityResult.stages.__set_name__(FeasibilityResult, "stages")
 
 
 def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...]:
-    """Extra distance each boarding adds for everyone aboard, stages 2..n."""
+    """Extra distance each boarding adds for everyone aboard, stages 2..n;
+    validates the route first."""
     instance.require_single_dropoff("the detour sequence")
+    route.validate(instance)
     order = route.pickup_order
     detour = instance.detour
     return tuple(detour[a][b] for a, b in zip(order, order[1:]))

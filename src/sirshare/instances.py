@@ -285,10 +285,11 @@ def _prefix_sums(alphas: Sequence[float]) -> list[float]:
     return list(itertools.accumulate(alphas, initial=0.0))
 
 
-def _stage_denominators(alpha_op: float, alphas: Sequence[float]) -> list[float]:
-    """``1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op`` for stages j = 1..n:
-    stage j's budget is the newcomer's direct distance over the j-th entry."""
-    return [1.0 + acc / alpha_op for acc in _prefix_sums(alphas)[:-1]]
+def _stage_denominators(alpha_op: float, prefix: Sequence[float]) -> list[float]:
+    """``1 + (alpha_1 + ... + alpha_{j-1}) / alpha_op`` for stages j = 1..n, from
+    the ``_prefix_sums`` of the sensitivities: stage j's budget is the
+    newcomer's direct distance over the j-th entry."""
+    return [1.0 + acc / alpha_op for acc in prefix[:-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,17 +384,24 @@ class Instance:
         n, direct = self.n, self.direct
         if self.regime == REGIME_INFINITE:
             return [[0.0] * (n + 1) for _ in range(n + 1)]
-        denoms = _stage_denominators(self.alpha_op, self._priced_alphas)
+        denoms = _stage_denominators(self.alpha_op, self._priced_prefix)
         return [[0.0] * (n + 1)] + [[d / denom for d in direct] for denom in denoms]
 
     @cached_property
     def _priced_alphas(self) -> tuple[float, ...]:
-        """The sensitivities stage budgets and inconvenience costs use: 0.0 in ``zero``."""
+        """The sensitivities that price a detour (stage budgets, inconvenience
+        costs, fair-share compensation): 0.0 in ``zero``."""
         return (0.0,) * self.n if self.regime == REGIME_ZERO else self.alphas
 
     @cached_property
+    def _priced_prefix(self) -> tuple[float, ...]:
+        """_priced_prefix[j] = sum of the first j priced sensitivities."""
+        return tuple(_prefix_sums(self._priced_alphas))
+
+    @cached_property
     def alpha_prefix(self) -> tuple[float, ...]:
-        """alpha_prefix[j] = sum of the first j sensitivities."""
+        """alpha_prefix[j] = sum of the first j stored sensitivities, which
+        split a fair table's surplus in the proportions alpha_i / alpha_prefix[j]."""
         return tuple(_prefix_sums(self.alphas))
 
     # -- serialization --
@@ -614,6 +622,7 @@ def generate_lower_bound_instance(
     Requires strictly positive sensitivities: with a zero weight two stage
     budgets coincide and the boarding order is no longer forced.
     """
+    _check_integer("rider count n", n)
     if n < 1:
         raise ConstructionError("need n >= 1")
     _check_positive("ell", ell)
@@ -631,7 +640,7 @@ def generate_lower_bound_instance(
             )
 
     # z[j] is the stage-j detour budget as a fraction of the direct distance.
-    z = [0.0] + [1.0 / denom for denom in _stage_denominators(alpha_op, alphas)]
+    z = [0.0] + [1.0 / denom for denom in _stage_denominators(alpha_op, _prefix_sums(alphas))]
 
     # Triangle constraint for pickups a, a+1, a+2 binds the slack factor:
     # the separation of the non-adjacent pair may exceed z[a+1]*ell by at
@@ -672,6 +681,7 @@ def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
     operator rate, so the stage-j detour budget is exactly met along
     (1, 2, ..., n, D). The descending route has zero detour throughout.
     """
+    _check_integer("rider count n", n)
     if n < 1:
         raise ConstructionError("need n >= 1")
     _check_positive("ell", ell)
@@ -688,15 +698,21 @@ def generate_exp_tight_instance(n: int, ell: float = 1.0) -> Instance:
 
     Pickup i sits at distance 2**(i-1) * ell; with sensitivities that vanish
     relative to the operator rate the ascending route is feasible with every
-    stage bound tight. A position beyond float range raises ConstructionError.
+    stage bound tight. A pickup whose squared distance from the dropoff is
+    beyond float range (n above 512 at ell = 1) raises ConstructionError.
     """
+    _check_integer("rider count n", n)
     if n < 1:
         raise ConstructionError("need n >= 1")
     _check_positive("ell", ell)
     try:
         positions = [math.ldexp(ell, i - 1) for i in range(1, n + 1)]
     except OverflowError:
-        raise ConstructionError(f"pickup {n} at 2**{n - 1} * ell is beyond float range") from None
+        positions = [math.inf]
+    if not math.isfinite(positions[-1] * positions[-1]):  # from_euclidean squares each distance
+        raise ConstructionError(
+            f"pickup {n} at 2**{n - 1} * ell is too far: its squared distance is beyond float range"
+        )
     table = from_euclidean(positions + [0.0])
     return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
                     alphas=(0.0,) * n, regime=REGIME_ZERO)
@@ -712,6 +728,7 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
     feasible exactly when every consecutive pair is a graph edge. The table
     is generally non-metric; the flag records what validation finds.
     """
+    _check_integer("vertex count", n_vertices)
     if n_vertices < 2:
         raise ConstructionError("need at least 2 vertices")
     _check_positive("ell", ell)

@@ -21,6 +21,7 @@ from .instances import (
     Instance,
     Route,
     _checked_rates,
+    _prefix_sums,
     _stage_denominators,
 )
 from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance
@@ -197,6 +198,6 @@ def lower_bound_value(n: int, alpha_op: float, alphas: Sequence[float]) -> float
     """
     alpha_op, alphas = _checked_rates(n, alpha_op, alphas)
     total = 0.0
-    for denom in _stage_denominators(alpha_op, alphas):
+    for denom in _stage_denominators(alpha_op, _prefix_sums(alphas)):
         total += 1.0 / denom
     return total

@@ -2,13 +2,12 @@ import itertools
 import math
 import time
 
-import numpy as np
 import pytest
 
 import sirshare as ss
 from sirshare.errors import InfeasibleRouteError
 
-from corpus import random_euclidean_instance, random_feasible_instance, with_regime
+from corpus import criterion_one_instances, with_regime
 
 SWEEP_SEED = 20260810
 SWEEP_INSTANCES = 500
@@ -31,16 +30,7 @@ def theorem_sweep():
       - violations of the exponential ceiling with the same geometry in the
         vanishing-weight regime.
     """
-    rng = np.random.default_rng(SWEEP_SEED)
-    instances = []
-    for k in range(SWEEP_INSTANCES):
-        n = int(rng.integers(2, 8))
-        if k % 2 == 0:
-            instances.append(random_euclidean_instance(rng, n, alpha_low=1.0))
-        else:
-            instances.append(
-                random_feasible_instance(rng, n, alpha_low=1.0, alpha_high=3.0)
-            )
+    instances = criterion_one_instances(SWEEP_SEED, SWEEP_INSTANCES)
     disagreements = []
     sqrt_violations = []
     exp_violations = []

@@ -106,6 +106,47 @@ def random_multi_route(rng, n):
     return ss.Route(events=tuple(events))
 
 
+def line_multi_case(rng, n, regime="finite"):
+    """Riders on a line, each dropoff between the origin and its own pickup,
+    with a little jitter off the line; the route visits every stop in
+    decreasing coordinate, so riders often leave before a later boarding."""
+    x = rng.uniform(1.0, 10.0, size=n)
+    y = rng.uniform(0.0, 1.0, size=n) * x
+    pts = [(float(a), float(rng.normal(0.0, 0.05))) for a in np.concatenate([x, y])]
+    stops = sorted([(pts[p - 1][0], "P", p) for p in range(1, n + 1)]
+                   + [(pts[n + p - 1][0], "D", p) for p in range(1, n + 1)], reverse=True)
+    rank = {}
+    events = []
+    for _, kind, p in stops:
+        if kind == "P":
+            rank[p] = len(rank) + 1
+            events.append(("P", p))
+        else:
+            events.append(("D", rank[p]))
+    inst = ss.Instance(dist=ss.from_euclidean(pts), n=n, dropoff_mode="multi",
+                       alpha_op=float(rng.uniform(0.5, 2.0)),
+                       alphas=tuple(float(a) for a in rng.uniform(0.2, 3.0, size=n)),
+                       regime=regime)
+    return inst, ss.Route(events=tuple(events))
+
+
+def criterion_one_instances(seed, count):
+    """The criterion-1 sweep corpus: half uniform in a square, half
+    corridor-structured; n between 2 and 7, every sensitivity at least the
+    operator rate."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for k in range(count):
+        n = int(rng.integers(2, 8))
+        if k % 2 == 0:
+            instances.append(random_euclidean_instance(rng, n, alpha_low=1.0))
+        else:
+            instances.append(
+                random_feasible_instance(rng, n, alpha_low=1.0, alpha_high=3.0)
+            )
+    return instances
+
+
 def random_graph(rng, n_vertices, p=None):
     if p is None:
         p = float(rng.uniform(0.15, 0.9))

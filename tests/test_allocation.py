@@ -267,6 +267,14 @@ def test_fixed_count_rejects_bad_count():
             ss.optimal_allocation(inst, m_prime=m_prime)
 
 
+@pytest.mark.parametrize("m_prime", [True, 2.5, "2", 2.0], ids=["bool", "float", "str", "whole-float"])
+def test_fixed_count_must_be_an_integer(m_prime):
+    inst = line_example()
+    assert ss.optimal_allocation(inst, m_prime=np.int64(2)) == ss.optimal_allocation(inst, m_prime=2)
+    with pytest.raises(MalformedInputError, match="m_prime must be an integer"):
+        ss.optimal_allocation(inst, m_prime=m_prime)
+
+
 def solved_matching(legs):
     # eight riders, three legs: matched and free rows and columns all occur
     inst = random_euclidean_instance(np.random.default_rng(43), 8)

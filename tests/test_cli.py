@@ -208,6 +208,37 @@ def test_starvation_min_route(tmp_path, capsys):
     assert payload["bound_checks"][0]["holds"] is True
 
 
+def test_starvation_without_a_feasible_route_exits_two(interior_line_instance, capsys):
+    code, out, err = run_cli(capsys, "starvation", interior_line_instance)
+    assert (code, out, err) == (2, "no feasible route\n", "")
+    code, out, err = run_cli(capsys, "starvation", interior_line_instance, "--json")
+    assert (code, json.loads(out), err) == (2, {"feasible": False}, "")
+
+
+def test_validate_lists_twenty_violations_then_counts_the_rest(tmp_path, capsys):
+    path = tmp_path / "star.json"
+    ss.reduce_hampath(10, [(1, k) for k in range(2, 11)]).save(path)  # 36 triangle violations
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    lines = out.splitlines()
+    assert code == 0 and "36 violation(s)" in lines[1]
+    assert len([line for line in lines if line.startswith("  triangle at ")]) == 20
+    assert lines[-1] == "  ... 16 more"
+
+
+def test_multi_dropoff_witness_keeps_a_departed_riders_share(tmp_path, capsys):
+    # rider 1 leaves before rider 3 boards and still pays 2: the witness holds a
+    # departed rider's share, so their disutility does not rise after the dropoff
+    path = tmp_path / "multi3.json"
+    path.write_text(json.dumps({"n": 3, "dropoff_mode": "multi", "coords": [6, 5, 3, 4, 1, 2],
+                                "alpha_op": 1, "alphas": [1, 1, 1], "regime": "finite"}))
+    code, out, _ = run_cli(capsys, "check-route", str(path), "--route", "1,2,d1,3,d3,d2", "--json")
+    assert code == 0 and [s["slack"] for s in json.loads(out)["stages"]] == [1.0, 1.0]
+    code, out, _ = run_cli(capsys, "witness", str(path), "--route", "1,2,d1,3,d3,d2", "--json")
+    assert code == 0 and json.loads(out)["shares"] == [[2.0], [2.0, 3.0], [2.0, 3.0, 0.0]]
+    code, out, _ = run_cli(capsys, "witness", str(path), "--route", "1,d1,2,d2,3,d3", "--json")
+    assert (code, json.loads(out)) == (2, {"feasible": False, "failing_stage": 2})
+
+
 def test_multi_dropoff_route_tokens(tmp_path, capsys):
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     inst = ss.Instance(dist=ss.from_euclidean(coords), n=2, dropoff_mode="multi",
@@ -264,6 +295,8 @@ def lb4_instance(tmp_path):
 
 BAD_INPUTS = [
     ({}, ["share", "{lb3}", "--route", "1,2,3", "--beta", "0.5,x"]),
+    ({}, ["check-route", "{lb3}", "--route", "1,dx,2"]),
+    ({}, ["check-route", "{lb3}", "--route", "1,2,3,d"]),
     ({}, ["generate", "hampath", "--vertices", "3", "--edges", "1-x"]),
     ({}, ["generate", "hampath", "--vertices", "3", "--edges", "12"]),
     ({}, ["generate", "lower-bound", "--alphas", "1,a,1"]),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,12 @@ from sirshare.errors import (
 )
 from sirshare.fairness import neutral_beta_from_increments
 
-from corpus import random_feasible_instance, random_multi_instance, random_multi_route
+from corpus import (
+    random_euclidean_instance,
+    random_feasible_instance,
+    random_multi_instance,
+    random_multi_route,
+)
 
 
 def n2_instance():
@@ -263,6 +270,38 @@ def test_xc_rejects_unequal_rates():
         ss.xc_table(inst, ROUTE2)
 
 
+def test_xc_rejects_the_zero_regime_whatever_the_stored_sensitivities():
+    # the zero regime prices no detour, so rates equal to alpha_op are not the rates priced
+    inst = n2_instance()
+    zero = ss.Instance(dist=inst.dist, n=2, dropoff_mode="single", alpha_op=1.0,
+                       alphas=(1.0, 1.0), regime="zero")
+    ss.xc_table(inst, ROUTE2)
+    with pytest.raises(UnsupportedAssumptionError, match="rider 1 priced sensitivity 0.0"):
+        ss.xc_table(zero, ROUTE2)
+
+
+def test_zero_regime_fair_tables_price_no_inconvenience():
+    # stored sensitivities set the split of the surplus; no one pays for a detour
+    rng = np.random.default_rng(3)
+    tables = 0
+    for _ in range(100):
+        inst = random_euclidean_instance(rng, 4, regime="zero")
+        for perm in itertools.permutations(range(1, 5)):
+            route = ss.Route.single_dropoff(perm)
+            if not ss.sir_feasible(inst, route).feasible:
+                continue
+            tables += 1
+            table = ss.beta_fair_table(inst, route, [0.5] * 3)
+            assert ss.is_sir(inst, route, table)[0] and ss.is_ir(inst, route, table)[0]
+            assert ss.verify_fairness_ratios(inst, route, table, [0.5] * 3)[0]
+            breakdown = ss.benefit_breakdown(inst, route, table)
+            detour = ss.single_dropoff_detours(inst, route)
+            for j, det in enumerate(detour, start=2):
+                fare = inst.alpha_op * inst.direct_distance(perm[j - 1])
+                assert breakdown.tib_value(j) == fare - inst.alpha_op * det
+    assert tables == 436
+
+
 # ---------------------------------------------------------------------------
 # ratio verification
 # ---------------------------------------------------------------------------
@@ -348,6 +387,13 @@ def test_neutral_beta_equal_increments(j, inc):
     # j riders all inconvenienced equally, newcomer included
     beta = neutral_beta_from_increments([inc] * (j - 1), inc)
     assert beta == pytest.approx((j - 1) / j)
+
+
+@pytest.mark.parametrize("j", [1, 4, -2])
+def test_neutral_beta_rejects_a_stage_out_of_range(j):
+    inst = random_feasible_instance(np.random.default_rng(8), 3)
+    with pytest.raises(MalformedInputError, match=f"stage {j} out of range 2..3"):
+        ss.neutral_beta(inst, ss.Route.single_dropoff([1, 2, 3]), j)
 
 
 def test_neutral_beta_zero_denominator():

@@ -71,6 +71,22 @@ def test_conditional_route_stage_out_of_range():
         ss.conditional_route(route, 3)
 
 
+@pytest.mark.parametrize("j", [1.5, 1.0, "1", True], ids=["fraction", "whole-float", "str", "bool"])
+def test_conditional_route_stage_must_be_an_integer(j):
+    route = ss.Route.single_dropoff([1, 2])
+    with pytest.raises(MalformedInputError, match="stage j must be an integer"):
+        ss.conditional_route(route, j)
+
+
+@pytest.mark.parametrize("order", [[1, 2], [1, 1, 2], [1, 9, 2], [1, 2, 3, 4]],
+                         ids=["short", "repeat", "unknown-label", "long"])
+def test_single_dropoff_detours_validates_the_route(order):
+    inst = ss.line_instance([3.0, 2.0, 1.0], 0.0)
+    assert ss.single_dropoff_detours(inst, ss.Route.single_dropoff([1, 2, 3])) == (0.0, 0.0)
+    with pytest.raises(MalformedInputError, match="exactly once"):
+        ss.single_dropoff_detours(inst, ss.Route.single_dropoff(order))
+
+
 # ---------------------------------------------------------------------------
 # stage_costs
 # ---------------------------------------------------------------------------

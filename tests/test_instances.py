@@ -409,6 +409,18 @@ def test_exp_tight_positions_beyond_float_range_are_refused():
         ss.generate_exp_tight_instance(1100)
 
 
+@pytest.mark.parametrize("n, ell", [(1024, 1.0), (600, 1.0), (513, 1.0), (512, 2.0), (2, 1e200)])
+def test_exp_tight_squared_distances_beyond_float_range_are_refused(n, ell):
+    # from_euclidean squares each distance, so the farthest pickup must stay below 2**512
+    with pytest.raises(ConstructionError, match=f"pickup {n} at 2\\*\\*{n - 1} \\* ell .*beyond float range"):
+        ss.generate_exp_tight_instance(n, ell=ell)
+
+
+def test_exp_tight_reaches_its_float_limit():
+    inst = ss.generate_exp_tight_instance(512)
+    assert inst.direct_distance(512) == 2.0 ** 511
+
+
 def test_exp_tight_n1():
     inst = ss.generate_exp_tight_instance(1, ell=3.0)
     assert inst.direct_distance(1) == pytest.approx(3.0)
@@ -454,6 +466,35 @@ def test_hampath_counts_match_dfs_oracle():
 def test_hampath_rejects_self_loop():
     with pytest.raises(ConstructionError):
         ss.reduce_hampath(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ss.generate_lower_bound_instance(0), "need n >= 1"),
+    (lambda: ss.generate_sqrt_tight_instance(0), "need n >= 1"),
+    (lambda: ss.generate_exp_tight_instance(-1), "need n >= 1"),
+    (lambda: ss.reduce_hampath(1, []), "need at least 2 vertices"),
+    (lambda: ss.reduce_hampath(3, [(1, 4)]), "edge \\(1,4\\) out of range 1..3"),
+    (lambda: ss.reduce_hampath(3, [(0, 2)]), "edge \\(0,2\\) out of range 1..3"),
+    (lambda: ss.reduce_path_tsp([[0.0]]), "need at least 2 pickup points"),
+], ids=["lower-bound-n0", "sqrt-tight-n0", "exp-tight-negative", "hampath-one-vertex",
+        "hampath-edge-above", "hampath-edge-below", "path-tsp-one-point"])
+def test_generators_reject_degenerate_sizes(make, message):
+    with pytest.raises(ConstructionError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None], ids=["fraction", "whole-float", "str",
+                                                               "bool", "none"])
+@pytest.mark.parametrize("make", [
+    ss.generate_lower_bound_instance,
+    ss.generate_sqrt_tight_instance,
+    ss.generate_exp_tight_instance,
+    lambda n: ss.reduce_hampath(n, [(1, 2)]),
+], ids=["lower-bound", "sqrt-tight", "exp-tight", "hampath"])
+def test_generators_reject_a_size_that_is_not_an_integer(make, n):
+    make(np.int64(3))
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        make(n)
 
 
 def test_path_tsp_all_permutations_feasible():
