@@ -502,9 +502,18 @@ def main(argv=None) -> int:
     # or patched handler is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
     except SirshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader (``| head``, say) has gone: point stdout at devnull so that
+        # the flush at exit does not fail again, as the Python signal docs advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_ERROR
 
 

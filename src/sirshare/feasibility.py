@@ -11,6 +11,7 @@ table realizing it whenever one exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,12 +203,29 @@ class DisutilityTrace:
         return [list(row) for row in self.du]
 
 
+def _share_sums(table: CostShareTable, n: int) -> list[float]:
+    """The share-table check, run before any checker reads a table: the row
+    sums, once the table has n rows, row j holds j numbers and every row sums
+    to a finite value (no entry is NaN or infinite). Raises
+    MalformedInputError otherwise."""
+    shares = table.shares
+    try:
+        if len(shares) != n or any(len(row) != j for j, row in enumerate(shares, start=1)):
+            raise MalformedInputError(
+                f"a share table for {n} riders needs {n} rows, row j holding j shares")
+        sums = [sum(row) for row in shares]
+        finite = all(map(math.isfinite, sums))
+    except TypeError:
+        raise MalformedInputError("share table entries must be numbers") from None
+    if not finite:
+        raise MalformedInputError("a share table row does not sum to a finite number")
+    return sums
+
+
 def budget_balance_residuals(table: CostShareTable, costs: StageCosts) -> list[float]:
-    """Per-stage difference between the summed shares and the operator cost."""
-    return [
-        sum(table.shares[j - 1]) - costs.oc[j]
-        for j in range(1, costs.n + 1)
-    ]
+    """Per-stage difference between the summed shares and the operator cost;
+    checks the table first."""
+    return [s - oc for s, oc in zip(_share_sums(table, costs.n), costs.oc[1:])]
 
 
 def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
@@ -216,7 +234,7 @@ def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
     check_tolerance(rel)
     costs = stage_costs(instance, route)
     for j, res in enumerate(budget_balance_residuals(table, costs), start=1):
-        if abs(res) > comparison_tolerance(costs.oc[j], rel):
+        if not abs(res) <= comparison_tolerance(costs.oc[j], rel):
             raise BudgetBalanceError(
                 f"shares sum to {costs.oc[j] + res:.12g} at stage {j}, "
                 f"operator cost is {costs.oc[j]:.12g}",
@@ -225,19 +243,9 @@ def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
     return costs
 
 
-def disutility_trace(instance: Instance, route: Route, table: CostShareTable) -> DisutilityTrace:
-    """Each rider's disutility under the table, before and after every boarding.
-
-    Rider i's row holds the private fare ``alpha_op * direct[i]`` at stages
-    0..i-1 and ``share[i][j] + ic[i][j]`` at every stage j >= i. One rule
-    serves every rider, including one already dropped off: no leg is added
-    to a rider after their dropoff, so their inconvenience stays put and
-    only their share can still move the row.
-    """
-    costs = stage_costs(instance, route)
+def _trace(costs: StageCosts, aop: float, shares) -> DisutilityTrace:
+    """``disutility_trace`` of a table already checked against these costs."""
     n = costs.n
-    aop = instance.alpha_op
-    shares = table.shares
     rows = []
     for i in range(1, n + 1):
         row = [aop * costs.direct[i]] * (n + 1)
@@ -248,11 +256,24 @@ def disutility_trace(instance: Instance, route: Route, table: CostShareTable) ->
     return DisutilityTrace(du=tuple(rows))
 
 
+def disutility_trace(instance: Instance, route: Route, table: CostShareTable) -> DisutilityTrace:
+    """Each rider's disutility under the table, before and after every boarding.
+
+    Rider i's row holds the private fare ``alpha_op * direct[i]`` at stages
+    0..i-1 and ``share[i][j] + ic[i][j]`` at every stage j >= i. One rule
+    serves every rider, including one already dropped off: no leg is added
+    to a rider after their dropoff, so their inconvenience stays put and
+    only their share can still move the row. The table is checked first.
+    """
+    costs = stage_costs(instance, route)
+    _share_sums(table, costs.n)
+    return _trace(costs, instance.alpha_op, table.shares)
+
+
 def _balanced_trace(instance: Instance, route: Route, table: CostShareTable,
                     rel: float) -> DisutilityTrace:
     """The table's disutility trace, once the table is checked to balance the route."""
-    _balanced_costs(instance, route, table, rel)
-    return disutility_trace(instance, route, table)
+    return _trace(_balanced_costs(instance, route, table, rel), instance.alpha_op, table.shares)
 
 
 def is_ir(instance: Instance, route: Route, table: CostShareTable,

@@ -259,13 +259,18 @@ def _check_integer(what: str, value) -> None:
         raise MalformedInputError(f"{what} must be an integer, not {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (a bool is not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _checked_rates(n: int, alpha_op: float,
                    alphas: Iterable[float]) -> tuple[float, tuple[float, ...]]:
     """The rates as floats, once they fit n riders: a positive, finite operator
     rate and n nonnegative, finite sensitivities, each a real number (not a
     string or a boolean). Raises MalformedInputError otherwise."""
     alphas = tuple(alphas)
-    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (alpha_op, *alphas)):
+    if not all(map(_is_real, (alpha_op, *alphas))):
         raise MalformedInputError("rates must be real numbers")
     try:
         alpha_op, alphas = float(alpha_op), tuple(float(a) for a in alphas)
@@ -597,6 +602,8 @@ Route.events.__set_name__(Route, "events")
 # ---------------------------------------------------------------------------
 
 def _check_positive(name: str, value: float) -> None:
+    if not _is_real(value):
+        raise MalformedInputError(f"{name} must be a real number, not {value!r}")
     if not (value > 0):
         raise ConstructionError(f"{name} must be positive, got {value}")
 
@@ -628,16 +635,11 @@ def generate_lower_bound_instance(
     _check_positive("ell", ell)
     _check_positive("slack", slack)
     _check_positive("alpha_op", alpha_op)
-    if alphas is None:
-        alphas = [alpha_op] * n
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != n:
-        raise ConstructionError(f"need {n} sensitivities, got {len(alphas)}")
-    for a in alphas:
-        if not (a > 0):
-            raise ConstructionError(
-                "lower-bound construction requires strictly positive sensitivities"
-            )
+    alpha_op, alphas = _checked_rates(n, alpha_op, [alpha_op] * n if alphas is None else alphas)
+    if not all(alphas):
+        raise ConstructionError(
+            "lower-bound construction requires strictly positive sensitivities"
+        )
 
     # z[j] is the stage-j detour budget as a fraction of the direct distance.
     z = [0.0] + [1.0 / denom for denom in _stage_denominators(alpha_op, _prefix_sums(alphas))]
@@ -669,8 +671,8 @@ def generate_lower_bound_instance(
         raise ConstructionError(
             f"constructed table violates the triangle inequality at points {first.indices}"
         )
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=float(alpha_op),
-                    alphas=tuple(alphas), regime=REGIME_FINITE)
+    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=alpha_op,
+                    alphas=alphas, regime=REGIME_FINITE)
 
 
 def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
@@ -733,7 +735,13 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
         raise ConstructionError("need at least 2 vertices")
     _check_positive("ell", ell)
     edge_set: set[frozenset[int]] = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise MalformedInputError(f"an edge is a pair of vertices, not {edge!r}") from None
+        _check_integer("an edge's vertex", u)
+        _check_integer("an edge's vertex", v)
         u, v = int(u), int(v)
         if u == v:
             raise ConstructionError(f"self-loop at vertex {u}; graph must be simple")
@@ -790,8 +798,9 @@ def reduce_path_tsp(metric, margin: float = 0.01) -> Instance:
 def line_instance(positions: Sequence[float], dropoff: float,
                   alpha_op: float = 1.0) -> Instance:
     """Single-dropoff instance on the line with all rates equal."""
-    coords = [float(p) for p in positions] + [float(dropoff)]
-    table = from_euclidean(coords)
-    n = len(positions)
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=float(alpha_op),
-                    alphas=(float(alpha_op),) * n, regime=REGIME_FINITE)
+    coords = [*positions, dropoff]
+    if not all(map(_is_real, coords)):
+        raise MalformedInputError("line positions must be real numbers")
+    n = len(coords) - 1
+    return Instance(dist=from_euclidean(coords), n=n, dropoff_mode=SINGLE, alpha_op=alpha_op,
+                    alphas=(alpha_op,) * n, regime=REGIME_FINITE)

@@ -9,11 +9,13 @@ j-th right after pickup a.
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
-- ``opt_sir_route`` is a dynamic program over (set of boarded pickups, last
-  pickup), the recursion of Bellman (1962) and Held & Karp (1962). It reads
-  the verdicts as bitmasks: bit b-1 of ``ok[j][a]`` is ``passes[j, a, b-1]``.
-- ``starvation.min_route_starvation`` is its backward counterpart over (set
-  of riders still to board, first of them), on the transposed bitmasks.
+- ``_subset_dp`` is the one dynamic program over (set of riders, end
+  rider), the recursion of Bellman (1962) and Held & Karp (1962). Each of
+  its two clients brings its masks, seeds and label rule: ``opt_sir_route``
+  runs it forward over (set of boarded pickups, last pickup) on bitmasks,
+  bit b-1 of ``ok[j][a]`` being ``passes[j, a, b-1]``, and
+  ``starvation.min_route_starvation`` backward over (set of riders boarding
+  last, first of them) on the transposed bitmasks.
 - ``enumerate_sir_routes`` must list every feasible order. Every feasible
   order extends feasible prefixes, so ``_search`` walks the prefixes level
   by level in blocks of up to ``_BLOCK``, depth first and in lexicographic
@@ -194,15 +196,43 @@ def _search(instance: Instance, rel: float, cap: int,
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
 
 
-def _state_table(n: int) -> list:
-    """One empty slot per subset of n riders, for the dynamic programs.
+def _subset_dp(n: int, moves: list[list[int]], seeds: dict[int, list],
+               grow: Callable[[list, list, int, int], None]) -> dict[int, list] | None:
+    """The Bellman (1962) / Held & Karp (1962) recursion over (set of riders,
+    end rider), behind ``opt_sir_route`` and ``starvation.min_route_starvation``.
 
-    Raises SizeError when Python cannot allocate the 2**n slots.
+    ``seeds[r]`` holds the labels of the set {r}. Sets are expanded in
+    ascending mask order, each once complete, then freed. Rider b may join a
+    state of k riders ending at r when bit b-1 of ``moves[k-1][r]`` is set;
+    ``grow(into, labels, r, b)`` then extends the labels by b into ``into``,
+    the labels of (set | b, b), under the caller's dominance rule. Returns
+    the full set's labels by end rider, or None when no order reaches it.
+    Raises SizeError when Python cannot allocate the 2**n states.
     """
     try:
-        return [None] * (1 << n)
+        states: list[dict[int, list] | None] = [None] * (1 << n)
     except (OverflowError, MemoryError):
         raise SizeError(f"n={n} needs a table of 2**{n} states, more than can be allocated") from None
+    for r, labels in seeds.items():
+        states[1 << (r - 1)] = {r: labels}
+    full = (1 << n) - 1
+    for mask in range(1, full):
+        here = states[mask]
+        if here is None:
+            continue
+        states[mask] = None  # every successor is a larger mask
+        layer = moves[mask.bit_count() - 1]
+        for key, labels in here.items():
+            succs = layer[key] & ~mask
+            while succs:
+                bit = succs & -succs
+                succs ^= bit
+                b = bit.bit_length()
+                succ = states[mask | bit]
+                if succ is None:
+                    succ = states[mask | bit] = {}
+                grow(succ.setdefault(b, []), labels, key, b)
+    return states[full]
 
 
 def _rounding_slack(instance: Instance) -> float:
@@ -258,26 +288,11 @@ def enumerate_sir_routes(instance: Instance, limit: int | None = None,
     )
 
 
-def _keep(labels: list[tuple[float, tuple[int, ...]]], dist: float,
-          order: tuple[int, ...], slack: float) -> None:
-    """Add the prefix ``(dist, order)`` to a state's labels unless a kept one
-    beats it, and drop the kept ones it beats. A prefix beats another when it
-    is no longer and has the smaller order, or is shorter by more than
-    ``slack``."""
-    for d, o in labels:
-        if d + slack < dist or (d <= dist and o < order):
-            return
-    if labels:
-        labels[:] = [(d, o) for d, o in labels
-                     if not (dist + slack < d or (dist <= d and order < o))]
-    labels.append((dist, order))
-
-
 def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
                   rel: float = DEFAULT_REL_TOL):
     """Minimum-total-distance feasible route, or None if none exists.
 
-    Forward dynamic program over (set of boarded pickups, last pickup): the
+    Forward ``_subset_dp`` over (set of boarded pickups, last pickup): the
     Bellman--Held--Karp recursion, O(2**n * n**2) time over O(2**n * n)
     states, each holding its best prefixes as (partial distance, order), so
     the orders take O(2**n * n**2) memory.
@@ -296,31 +311,25 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     rows = instance.rows
     ok = _masks(_stage_verdicts(instance, rel))
     slack = _rounding_slack(instance)
-    full = (1 << n) - 1
-    # states[mask][last]: labels of the feasible orders of ``mask`` ending at ``last``
-    states: list[dict[int, list] | None] = _state_table(n)
-    for p in range(1, n + 1):
-        states[1 << (p - 1)] = {p: [(0.0, (p,))]}
-    for mask in range(1, full):
-        here = states[mask]
-        if here is None:
-            continue
-        states[mask] = None  # every successor is a larger mask
-        stage = ok[mask.bit_count() + 1]
-        for last, labels in here.items():
-            row, succs = rows[last - 1], stage[last] & ~mask
-            while succs:
-                bit = succs & -succs
-                succs ^= bit
-                b = bit.bit_length()
-                succ = states[mask | bit]
-                if succ is None:
-                    succ = states[mask | bit] = {}
-                into = succ.setdefault(b, [])
-                hop = row[b - 1]
-                for dist, order in labels:
-                    _keep(into, dist + hop, order + (b,), slack)
-    ends = states[full]
+
+    def grow(into: list, labels: list, last: int, b: int) -> None:
+        hop = rows[last - 1][b - 1]
+        for dist, order in labels:
+            dist += hop
+            order += (b,)
+            # a prefix beats another when it is no longer and has the smaller
+            # order, or is shorter by more than ``slack``
+            for d, o in into:
+                if d + slack < dist or (d <= dist and o < order):
+                    break
+            else:
+                if into:
+                    into[:] = [(d, o) for d, o in into
+                               if not (dist + slack < d or (dist <= d and order < o))]
+                into.append((dist, order))
+
+    # a state of k boarded pickups takes its next pickup at stage k + 1
+    ends = _subset_dp(n, ok[2:], {p: [(0.0, (p,))] for p in range(1, n + 1)}, grow)
     if not ends:
         return None
     dist, order = min((d + instance.direct_distance(last), o)

@@ -32,7 +32,7 @@ from .search import (
     _rounding_slack,
     _search,
     _stage_verdicts,
-    _state_table,
+    _subset_dp,
 )
 
 
@@ -102,40 +102,26 @@ def starvation_report(instance: Instance, route: Route,
     )
 
 
-def _keep(labels: list[tuple[float, float, tuple[int, ...]]], dist: float,
-          factor: float, order: tuple[int, ...], slack: float) -> None:
-    """Add the suffix ``(dist, factor, order)`` to a state's labels unless a
-    kept one beats it, and drop the kept ones it beats. A suffix beats
-    another when it is no longer, starves no more and has the smaller order,
-    or when it starves less and is shorter by more than ``slack``."""
-    for d, f, o in labels:
-        if f <= factor and (d <= dist and o < order or f < factor and d + slack < dist):
-            return
-    if labels:
-        labels[:] = [(d, f, o) for d, f, o in labels
-                     if not (factor <= f and (dist <= d and order < o
-                                              or factor < f and dist + slack < d))]
-    labels.append((dist, factor, order))
-
-
 def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                          rel: float = DEFAULT_REL_TOL):
     """Feasible route with the smallest starvation factor, or None.
 
     A rider's factor depends only on the route from their pickup on, so this
-    is a backward dynamic program over (set of riders boarding last, the
-    first of them): O(2**n * n) states, and O(2**n * n**2) time times the
-    labels a state keeps. Each label is (suffix distance, largest factor,
-    suffix order); the suffix distance folds as ``_per_passenger_factors``
-    folds it, from the last rider's direct distance backwards, so the factor
-    is bit for bit the one ``starvation_report`` gives.
+    is a backward ``search._subset_dp`` over (set of riders boarding last,
+    the first of them): O(2**n * n) states, and O(2**n * n**2) time times
+    the labels a state keeps. Each label is (suffix distance, largest
+    factor, suffix order); the suffix distance folds as
+    ``_per_passenger_factors`` folds it, from the last rider's direct
+    distance backwards, so the factor is bit for bit the one
+    ``starvation_report`` gives.
 
-    Exact ties keep the lexicographically smallest pickup sequence. A label
-    is dropped when another is no longer, starves no more and has the
-    smaller order, or starves less and is shorter by more than
-    ``search._rounding_slack``: either way no prefix can make the dropped
-    label win. A state keeps one label per (distance, factor) trade-off and
-    per rounding near-tie; on path-TSP tables that is one label.
+    Exact ties keep the lexicographically smallest pickup sequence. The
+    label rule lives in this function's ``grow`` step: a label is dropped
+    when another is no longer, starves no more and has the smaller order,
+    or starves less and is shorter by more than ``search._rounding_slack``;
+    either way no prefix can make the dropped label win. A state keeps one
+    label per (distance, factor) trade-off and per rounding near-tie; on
+    path-TSP tables that is one label.
 
     A rider whose pickup is the dropoff has no factor: the lexicographically
     first feasible order reports the first such rider on it.
@@ -149,39 +135,36 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
         return None
     rows = instance.rows
     slack = _rounding_slack(instance)
-    full = (1 << n) - 1
     # before[j][b]: the pickups a after which b may board j-th, as a bitmask
     before = [[0] + row
               for row in _masks(_stage_verdicts(instance, rel)[:, 1:].transpose(0, 2, 1))]
-    # states[suffix][first]: labels of the feasible orders of ``suffix`` starting at ``first``
-    states: list[dict[int, list] | None] = _state_table(n)
-    for f in range(1, n + 1):
-        states[1 << (f - 1)] = {f: [(direct[f], 1.0, (f,))]}
-    for suffix in range(1, full):
-        here = states[suffix]
-        if here is None:
-            continue
-        states[suffix] = None  # every predecessor is a larger set
-        stage = before[n - suffix.bit_count() + 1]  # ``first`` boards at this stage
-        for first, labels in here.items():
-            preds = stage[first] & ~suffix
-            while preds:
-                bit = preds & -preds
-                preds ^= bit
-                p = bit.bit_length()
-                wider = suffix | bit
-                prev = states[wider]
-                if prev is None:
-                    prev = states[wider] = {}
-                into = prev.setdefault(p, [])
-                hop, own = rows[p - 1][first - 1], direct[p]
-                for dist, factor, order in labels:
-                    dist += hop
-                    mine = dist / own
-                    _keep(into, dist, mine if mine > factor else factor, (p,) + order, slack)
-    if not states[full]:
+
+    def grow(into: list, labels: list, first: int, p: int) -> None:
+        hop, own = rows[p - 1][first - 1], direct[p]
+        for dist, factor, order in labels:
+            dist += hop
+            mine = dist / own
+            if mine > factor:
+                factor = mine
+            order = (p,) + order
+            # a suffix beats another when it is no longer, starves no more and
+            # has the smaller order, or starves less and is shorter by more than ``slack``
+            for d, f, o in into:
+                if f <= factor and (d <= dist and o < order or f < factor and d + slack < dist):
+                    break
+            else:
+                if into:
+                    into[:] = [(d, f, o) for d, f, o in into
+                               if not (factor <= f and (dist <= d and order < o
+                                                        or factor < f and dist + slack < d))]
+                into.append((dist, factor, order))
+
+    # the first of a suffix of k riders boards at stage n - k + 1
+    ends = _subset_dp(n, before[n:1:-1], {f: [(direct[f], 1.0, (f,))] for f in range(1, n + 1)},
+                      grow)
+    if not ends:
         return None
-    factor, order = min((f, o) for labels in states[full].values() for _, f, o in labels)
+    factor, order = min((f, o) for labels in ends.values() for _, f, o in labels)
     return Route.single_dropoff(order), factor
 
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,25 @@ def test_validate_lists_twenty_violations_then_counts_the_rest(tmp_path, capsys)
     assert code == 0 and "36 violation(s)" in lines[1]
     assert len([line for line in lines if line.startswith("  triangle at ")]) == 20
     assert lines[-1] == "  ... 16 more"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    # the listing of 8! orders is far larger than a pipe holds, so the
+    # process is still printing when the reader goes, as with ``| head -n 1``
+    path = tmp_path / "pt8.json"
+    coords = [(0, 0), (1, 3), (4, 1), (2, 5), (6, 2), (3, 3), (5, 6), (7, 4)]
+    ss.reduce_path_tsp(ss.from_euclidean(coords)).save(path)
+    src = str(Path(ss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "sirshare", "routes", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"40320 feasible routes\n"
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_multi_dropoff_witness_keeps_a_departed_riders_share(tmp_path, capsys):

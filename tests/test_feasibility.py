@@ -624,3 +624,58 @@ def test_table_checkers_reject_bad_tolerance(check, rel):
     check(inst, route, overpriced, 1e-9)  # the same call runs at a usable tolerance
     with pytest.raises(MalformedInputError, match="relative tolerance"):
         check(inst, route, overpriced, rel)
+
+
+# ---------------------------------------------------------------------------
+# share-table input check
+# ---------------------------------------------------------------------------
+
+def _line_two(shares):
+    return ss.line_instance([3, 2], 0), (1, 2), shares
+
+
+def _nan_table(n):
+    return ss.generate_lower_bound_instance(n), tuple(range(1, n + 1)), \
+        tuple((math.nan,) * j for j in range(1, n + 1))
+
+
+def _witness_plus_a_row():
+    inst, order = ss.line_instance([3, 2], 0), (1, 2)
+    shares = ss.witness_scheme(inst, ss.Route.single_dropoff(order)).shares
+    return inst, order, shares + ((0.0, 0.0, 0.0),)
+
+
+BAD_SHARE_TABLES = {
+    "nan-n2": lambda: _nan_table(2),
+    "nan-n4": lambda: _nan_table(4),
+    "nan-n6": lambda: _nan_table(6),
+    "inf": lambda: _line_two(((3.0,), (math.inf, 0.0))),
+    "row-short": lambda: _line_two(((3.0,),)),
+    "share-short": lambda: _line_two(((3.0,), (3.0,))),
+    "extra-share": lambda: _line_two(((3.0,), (1.0, 2.0, 0.0))),
+    "extra-row": _witness_plus_a_row,
+    "str": lambda: _line_two(((3.0,), ("x", 3.0))),
+    "none": lambda: _line_two(((3.0,), (1.0, None))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SHARE_TABLES))
+@pytest.mark.parametrize("check", [
+    lambda inst, route, table: ss.is_sir(inst, route, table),
+    lambda inst, route, table: ss.is_ir(inst, route, table),
+    lambda inst, route, table: ss.reverse_meter(inst, route, table),
+    lambda inst, route, table: ss.disutility_trace(inst, route, table),
+    lambda inst, route, table: ss.benefit_breakdown(inst, route, table),
+    lambda inst, route, table: ss.verify_fairness_ratios(inst, route, table,
+                                                         [0.5] * (inst.n - 1)),
+], ids=["is_sir", "is_ir", "reverse_meter", "disutility_trace", "benefit_breakdown",
+        "verify_fairness_ratios"])
+def test_table_checkers_reject_a_malformed_share_table(check, case):
+    inst, order, shares = BAD_SHARE_TABLES[case]()
+    route = ss.Route.single_dropoff(order)
+    try:
+        check(inst, route, ss.witness_scheme(inst, route))  # a well-formed table passes the check
+    except IndeterminateRatioError:  # every stage of a lower-bound route is tight: no ratios
+        assert case.startswith("nan")
+    with pytest.raises(MalformedInputError, match="share table"):
+        check(inst, route, ss.CostShareTable(shares=shares))

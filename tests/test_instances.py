@@ -497,6 +497,38 @@ def test_generators_reject_a_size_that_is_not_an_integer(make, n):
         make(n)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ss.generate_lower_bound_instance(3, alphas=["x", 1, 1]),
+    lambda: ss.generate_lower_bound_instance(3, alphas=[None, 1, 1]),
+    lambda: ss.generate_lower_bound_instance(3, alphas=[math.inf, 1, 1]),
+    lambda: ss.generate_lower_bound_instance(3, alphas=[True, 1, 1]),
+    lambda: ss.generate_lower_bound_instance(3, alphas=[1, 1]),
+    lambda: ss.generate_lower_bound_instance(3, alpha_op="2"),
+    lambda: ss.generate_lower_bound_instance(3, ell="1"),
+    lambda: ss.generate_lower_bound_instance(3, slack=None),
+    lambda: ss.generate_sqrt_tight_instance(3, ell="1"),
+    lambda: ss.reduce_hampath(3, [(1, 2.7)]),
+    lambda: ss.reduce_hampath(3, [(1, "x")]),
+    lambda: ss.reduce_hampath(3, [(1, 2, 3)]),
+    lambda: ss.reduce_hampath(3, [(True, 2)]),
+    lambda: ss.line_instance(["a", 2], 0),
+    lambda: ss.line_instance([3, 2], None),
+    lambda: ss.line_instance([3, 2], 0, alpha_op="1"),
+], ids=["alpha-str", "alpha-none", "alpha-inf", "alpha-bool", "alpha-count", "alpha-op-str",
+        "ell-str", "slack-none", "sqrt-ell-str", "edge-fraction", "edge-str", "edge-triple",
+        "edge-bool", "line-position-str", "line-dropoff-none", "line-rate-str"])
+def test_generators_reject_ill_typed_input(make):
+    with pytest.raises(MalformedInputError):
+        make()
+
+
+def test_generators_still_take_integral_and_numpy_values():
+    inst = ss.generate_lower_bound_instance(3, alpha_op=2, alphas=[np.float64(1.5), 1, 2])
+    assert inst.alpha_op == 2.0 and inst.alphas == (1.5, 1.0, 2.0)
+    assert ss.reduce_hampath(3, [np.array([1, 2]), [2, np.int64(3)]]).n == 3
+    assert ss.line_instance([np.float64(3.0), 2], np.int64(0)).dist.entries[0].tolist() == [0, 1, 3]
+
+
 def test_path_tsp_all_permutations_feasible():
     import itertools
 
