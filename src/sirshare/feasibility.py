@@ -11,9 +11,12 @@ table realizing it whenever one exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BudgetBalanceError,
@@ -203,16 +206,21 @@ class DisutilityTrace:
         return [list(row) for row in self.du]
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _share_sums(table: CostShareTable, n: int) -> list[float]:
     """The share-table check, run before any checker reads a table: the row
-    sums, once the table has n rows, row j holds j numbers and every row sums
-    to a finite value (no entry is NaN or infinite). Raises
-    MalformedInputError otherwise."""
+    sums, once the table has n rows, row j holds j numbers (a bool, Python's
+    or numpy's, is none) and every row sums to a finite value (no entry is
+    NaN or infinite). Raises MalformedInputError otherwise."""
     shares = table.shares
     try:
         if len(shares) != n or any(len(row) != j for j, row in enumerate(shares, start=1)):
             raise MalformedInputError(
                 f"a share table for {n} riders needs {n} rows, row j holding j shares")
+        if not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(shares))):
+            raise MalformedInputError("share table entries must be numbers, not booleans")
         sums = [sum(row) for row in shares]
         finite = all(map(math.isfinite, sums))
     except TypeError:
@@ -399,11 +407,26 @@ def sir_feasible(instance: Instance, route: Route,
     against its shrinking budget (``Instance.detour`` and ``Instance.budget``);
     per-rider dropoffs take the stage-cost form. Stage slacks within
     tolerance of zero count as feasible. The tolerance and route are
-    validated first; the route check is cached per route. The check stops
-    at the first failing stage and builds no per-stage object: the result's
-    ``stages`` is built on first read.
+    validated first. The check stops at the first failing stage and builds
+    no per-stage object: the result's ``stages`` is built on first read.
+
+    Decided once per (instance, route, ``rel``): the route keeps its verdict
+    for the last instance and tolerance it served, keyed by the instance's
+    identity, so a repeat call (``witness_scheme`` and ``beta_fair_table``
+    make one for the route their caller just checked) neither validates nor
+    walks the stages again. Each call returns a fresh result.
     """
     check_tolerance(rel)
+    kept = vars(route).get("_verdict")
+    if kept is None or kept[0] is not instance or kept[1] != rel:
+        kept = (instance, rel, *_stage_check(instance, route, rel))
+        vars(route)["_verdict"] = kept
+    return _lazy_result(kept[2], kept[3])
+
+
+def _stage_check(instance: Instance, route: Route, rel: float) -> tuple[int | None, object]:
+    """The first stage at which the route fails, or None, and the source of
+    its stage values (see ``_lazy_result``); validates the route first."""
     route.validate(instance)
     n = instance.n
 
@@ -412,8 +435,8 @@ def sir_feasible(instance: Instance, route: Route,
         detour, budget = instance.detour, instance.budget
         for j, a, b in zip(range(2, n + 1), order, order[1:]):
             if not approx_leq(detour[a][b], budget[j][b], rel):
-                return _lazy_result(j, (instance, order))
-        return _lazy_result(None, (instance, order))
+                return j, (instance, order)
+        return None, (instance, order)
 
     costs = stage_costs(instance, route)
     pairs = []
@@ -437,7 +460,7 @@ def sir_feasible(instance: Instance, route: Route,
         pairs.append((lhs, rhs))
     first_violation = next((j for j, (lhs, rhs) in enumerate(pairs, start=2)
                             if not approx_leq(lhs, rhs, rel)), None)
-    return _lazy_result(first_violation, pairs)
+    return first_violation, pairs
 
 
 def _require_feasible(instance: Instance, route: Route, rel: float) -> None:

@@ -483,11 +483,16 @@ class Route:
     whoever boarded j-th). ``single_dropoff`` routes store only ``pickup_order``,
     the pickups before the shared dropoff, and derive ``events`` on first read.
 
-    A route also caches what it derives: its shape check, and the ledger of
-    stage costs that ``feasibility.stage_costs`` keeps for the last instance
-    it served. Pickling and copying carry only the field the route was built
-    from, so neither the ledger (nor its instance) is pickled or copied;
-    ``==``, ``hash`` and ``repr`` read ``events`` alone.
+    A route keeps what it derives: its shape check (instance-free, so one
+    per route), the verdict that ``feasibility.sir_feasible`` reached for the
+    last (instance, ``rel``) it served, and the ledger of stage costs that
+    ``feasibility.stage_costs`` keeps for the last instance it served. A
+    route built from events in the canonical single-dropoff form (n pickups,
+    then dropoffs 1..n) takes the same order-only shape check as a
+    ``single_dropoff`` route. Pickling and copying carry only the field the
+    route was built from, so none of shape, verdict or ledger (nor their
+    instance) is pickled or copied; ``==``, ``hash`` and ``repr`` read
+    ``events`` alone.
     """
 
     events: tuple[tuple[str, int], ...]
@@ -520,7 +525,13 @@ class Route:
 
     @cached_property
     def pickup_order(self) -> tuple[int, ...]:
-        return tuple(idx for kind, idx in self.events if kind == PICKUP)
+        """The pickup labels in boarding order; MalformedInputError unless
+        ``events`` is a sequence of (kind, label) pairs."""
+        try:
+            return tuple(idx for kind, idx in self.events if kind == PICKUP)
+        except (TypeError, ValueError):
+            raise MalformedInputError(
+                f"route events must be (kind, label) pairs, got {self.events!r}") from None
 
     @property
     def n(self) -> int:
@@ -530,7 +541,23 @@ class Route:
     def _shape(self) -> tuple[int, str | None, bool]:
         """Instance-free checks: (rider count, or -1 unless the pickups are a
         permutation of 1..n; first other defect or None; whether a dropoff
-        precedes a pickup)."""
+        precedes a pickup). Events in the canonical single-dropoff form take
+        the order-only check at C speed; every other shape takes the walk,
+        which alone names a defect."""
+        events = vars(self).get("events")
+        if type(events) is tuple:  # one pass over a generator would leave none for the walk
+            try:
+                kinds, labels = zip(*events, strict=True)
+            except (TypeError, ValueError):  # no events, or one that is not a pair
+                pass
+            else:
+                n = len(labels) // 2
+                pickups = labels[:n]
+                canonical_kinds, ranks = _canonical_form(n)
+                if (kinds == canonical_kinds and labels[n:] == ranks
+                        and set(map(type, labels)) == {int} and tuple(sorted(pickups)) == ranks):
+                    vars(self)["pickup_order"] = pickups
+                    return n, None, False
         n = self.n
         try:
             if sorted(self.pickup_order) != list(range(1, n + 1)):
@@ -582,6 +609,13 @@ class Route:
 
 
 @functools.cache
+def _canonical_form(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The event kinds of a single-dropoff route of n riders (n pickups, then
+    n dropoffs) and its dropoff labels 1..n."""
+    return (PICKUP,) * n + (DROPOFF,) * n, tuple(range(1, n + 1))
+
+
+@functools.cache
 def _shared_events(n: int) -> tuple[dict[int, tuple[str, int]], tuple[tuple[str, int], ...]]:
     """The pickup event of each label 1..n, and the dropoff tail of n riders."""
     return {p: (PICKUP, p) for p in range(1, n + 1)}, tuple((DROPOFF, r) for r in range(1, n + 1))
@@ -602,8 +636,13 @@ Route.events.__set_name__(Route, "events")
 # ---------------------------------------------------------------------------
 
 def _check_positive(name: str, value: float) -> None:
+    """Raise unless ``value`` is a positive, finite real number: MalformedInputError
+    for one that is not a real number or is +inf, ConstructionError for one
+    that is not positive."""
     if not _is_real(value):
         raise MalformedInputError(f"{name} must be a real number, not {value!r}")
+    if value == math.inf:
+        raise MalformedInputError(f"{name} must be finite, got {value}")
     if not (value > 0):
         raise ConstructionError(f"{name} must be positive, got {value}")
 

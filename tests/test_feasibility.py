@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sirshare as ss
+from sirshare import feasibility
 from sirshare.errors import (
     BudgetBalanceError,
     IndeterminateRatioError,
@@ -273,6 +274,92 @@ def test_a_route_pickles_and_copies_without_its_ledger(build):
         assert "_ledger" not in vars(copied)
     assert len(pickle.dumps(route)) <= before
     assert ss.stage_costs(inst, copy.deepcopy(route)) == ss.stage_costs(inst, route)
+
+
+# ---------------------------------------------------------------------------
+# one verdict per (instance, route, rel)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stage_checks(monkeypatch):
+    """The (instance, route, rel) of every stage walk ``sir_feasible`` makes."""
+    walks = []
+    walk = feasibility._stage_check
+
+    def counted(instance, route, rel):
+        walks.append((instance, route, rel))
+        return walk(instance, route, rel)
+
+    monkeypatch.setattr(feasibility, "_stage_check", counted)
+    return walks
+
+
+def _events_of(order):
+    return tuple(("P", p) for p in order) + tuple(("D", r) for r in range(1, len(order) + 1))
+
+
+@pytest.mark.parametrize("case", ["single", "single-events", "multi"])
+def test_one_stage_walk_per_instance_route_and_tolerance(case, stage_checks):
+    if case == "multi":
+        inst, route = _multi_ledger_case()
+    else:
+        inst = random_feasible_instance(np.random.default_rng(5), 8)
+        build = ss.Route.single_dropoff if case == "single" else ss.Route
+        route = build(range(1, 9) if case == "single" else _events_of(range(1, 9)))
+    first = ss.sir_feasible(inst, route)
+    _ledger_pass(inst, route)  # witness_scheme and beta_fair_table ask again
+    if inst.dropoff_mode == "single":
+        ss.starvation_report(inst, route)
+    again = ss.sir_feasible(inst, route)
+    assert stage_checks == [(inst, route, 1e-9)]
+    assert again is not first and "stages" not in vars(again)  # a fresh, unread result
+    assert again == first == ss.sir_feasible(inst, copy.copy(route))
+
+
+def test_a_new_tolerance_or_instance_walks_the_stages_again(stage_checks):
+    order = (2, 1, 3)
+    route = ss.Route(events=_events_of(order))
+    first, second = ss.generate_sqrt_tight_instance(3), ss.generate_lower_bound_instance(3)
+    calls = [(first, 1e-9), (first, 0.0), (first, 0.0), (second, 0.0), (second, 0.0),
+             (first, 0.0), (first, 1e-9)]
+    for inst, rel in calls:
+        assert ss.sir_feasible(inst, route, rel=rel) == ss.sir_feasible(
+            inst, ss.Route.single_dropoff(order), rel=rel)
+    walked = [(inst, rel) for inst, r, rel in stage_checks if r is route]
+    assert walked == [calls[k] for k in (0, 1, 3, 5, 6)]
+    with pytest.raises(MalformedInputError):  # a kept verdict never skips the route check
+        ss.sir_feasible(ss.generate_sqrt_tight_instance(4), route)
+    for rel in (True, np.True_, -1.0):  # nor the tolerance check, even where True == 1
+        ss.sir_feasible(first, route, rel=1)
+        with pytest.raises(MalformedInputError, match="relative tolerance"):
+            ss.sir_feasible(first, route, rel=rel)
+
+
+def test_an_infeasible_route_is_walked_once_and_fails_at_its_stage(stage_checks):
+    inst = ss.generate_lower_bound_instance(4)
+    route = ss.Route(events=_events_of((4, 3, 2, 1)))
+    stage = ss.sir_feasible(inst, route).first_violation
+    for build in (ss.witness_scheme, lambda i, r: ss.beta_fair_table(i, r, [0.5] * 3)):
+        with pytest.raises(InfeasibleRouteError) as info:
+            build(inst, route)
+        assert info.value.stage == stage
+    assert len(stage_checks) == 1
+
+
+@pytest.mark.parametrize("build", [ss.Route.single_dropoff, lambda order: ss.Route(
+    events=_events_of(order))], ids=["single_dropoff", "events"])
+def test_a_route_pickles_and_copies_without_its_verdict(build, stage_checks):
+    inst = random_feasible_instance(np.random.default_rng(20), 9)
+    route = build(range(1, 10))
+    before = pickle.dumps(route)
+    verdict = ss.sir_feasible(inst, route)
+    assert "_verdict" in vars(route)
+    for copied in (pickle.loads(pickle.dumps(route)), copy.deepcopy(route), copy.copy(route)):
+        assert copied == route and hash(copied) == hash(route) and repr(copied) == repr(route)
+        assert not {"_verdict", "_shape", "_ledger"} & set(vars(copied))
+        assert ss.sir_feasible(inst, copied) == verdict
+    assert pickle.dumps(route) == before
+    assert [r is route for _, r, _ in stage_checks] == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +743,9 @@ BAD_SHARE_TABLES = {
     "extra-row": _witness_plus_a_row,
     "str": lambda: _line_two(((3.0,), ("x", 3.0))),
     "none": lambda: _line_two(((3.0,), (1.0, None))),
+    "bool": lambda: _line_two(((3.0,), (True, 2.0))),
+    "numpy-bool": lambda: _line_two(((3.0,), (np.True_, 2.0))),
+    "numpy-bool-row": lambda: _line_two(((3.0,), np.array([True, True]))),
 }
 
 

@@ -18,6 +18,7 @@ from corpus import (
     count_directed_hamiltonian_paths,
     random_graph,
 )
+from route_oracle import reference_pickup_order, reference_validate
 
 RNG = np.random.default_rng(7)
 
@@ -114,10 +115,10 @@ def test_table_entries_beyond_float_range_are_named(load):
 
 @pytest.mark.parametrize("build", [
     lambda: ss.line_instance([1e200, -1e200], 0.0),  # distances overflow to inf
-    lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=math.inf),
+    lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=1e308),  # 2 * 1 * (1 + 1e308) is inf
     lambda: ss.DistanceTable(entries=np.array([[0.0, math.nan], [math.nan, 0.0]]),
                              metric_flag=True),
-], ids=["euclidean-overflow", "path-tsp-infinite-margin", "direct-table"])
+], ids=["euclidean-overflow", "path-tsp-overflowing-margin", "direct-table"])
 def test_tables_are_checked_when_built(build):
     with pytest.raises(MalformedInputError, match="NaN or infinite"):
         build()
@@ -522,6 +523,22 @@ def test_generators_reject_ill_typed_input(make):
         make()
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: ss.generate_lower_bound_instance(3, ell=math.inf), "ell"),
+    (lambda: ss.generate_lower_bound_instance(3, slack=math.inf), "slack"),
+    (lambda: ss.generate_lower_bound_instance(3, alpha_op=math.inf), "alpha_op"),
+    (lambda: ss.generate_sqrt_tight_instance(3, ell=math.inf), "ell"),
+    (lambda: ss.generate_exp_tight_instance(3, ell=np.float64(math.inf)), "ell"),
+    (lambda: ss.reduce_hampath(3, [(1, 2)], ell=math.inf), "ell"),
+    (lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=math.inf), "margin"),
+], ids=["lower-bound-ell", "lower-bound-slack", "lower-bound-alpha-op", "sqrt-ell", "exp-ell",
+        "hampath-ell", "path-tsp-margin"])
+def test_generators_name_an_infinite_parameter(make, name):
+    with pytest.raises(MalformedInputError) as info:
+        make()
+    assert str(info.value) == f"{name} must be finite, got inf"
+
+
 def test_generators_still_take_integral_and_numpy_values():
     inst = ss.generate_lower_bound_instance(3, alpha_op=2, alphas=[np.float64(1.5), 1, 2])
     assert inst.alpha_op == 2.0 and inst.alphas == (1.5, 1.0, 2.0)
@@ -896,3 +913,97 @@ def test_validate_of_an_order_derives_no_events():
         except MalformedInputError as exc:
             assert verdict == str(exc)
         assert (verdict is None) == (sorted(route.pickup_order) == [1, 2, 3, 4])
+
+
+# ---------------------------------------------------------------------------
+# Route shape: the canonical fast path against the reference walk
+# ---------------------------------------------------------------------------
+
+_SINGLE_BY_N = {k: ss.generate_lower_bound_instance(k) for k in range(1, 7)}
+_MULTI_BY_N = {k: ss.Instance(dist=ss.from_euclidean([float(x) for x in range(2 * k)]), n=k,
+                              dropoff_mode="multi", alpha_op=1.0, alphas=(1.0,) * k)
+               for k in range(1, 7)}
+
+_RELABEL = [lambda x: x == 1, lambda x: np.bool_(x == 1), np.int64, str, float]
+_EDITS = ["permuted-tail", "interleaved", "relabel", "missing", "label-type", "unknown-kind",
+          "wrong-arity"]
+
+
+@st.composite
+def _event_sequences(draw):
+    """Canonical single-dropoff events of 0..5 riders, with up to two edits."""
+    n = draw(st.integers(0, 5))
+    events = [("P", p) for p in draw(st.permutations(range(1, n + 1)))]
+    events += [("D", r) for r in range(1, n + 1)]
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=2)):
+        if not events:
+            break
+        i = draw(st.integers(0, len(events) - 1))
+        if not (isinstance(events[i], tuple) and len(events[i]) == 2):
+            continue  # a wrong-arity edit took this event
+        kind, label = events[i]
+        if edit == "permuted-tail":
+            events[n:] = draw(st.permutations(events[n:]))
+        elif edit == "interleaved":
+            events.insert(draw(st.integers(0, len(events) - 1)), events.pop(i))
+        elif edit == "relabel":  # a duplicate or out-of-range label
+            events[i] = (kind, draw(st.integers(0, n + 1)))
+        elif edit == "missing":
+            del events[i]
+        elif edit == "label-type":
+            events[i] = (kind, draw(st.sampled_from(_RELABEL))(label))
+        elif edit == "unknown-kind":
+            events[i] = (draw(st.sampled_from(["X", "p", "", None])), label)
+        else:
+            events[i] = draw(st.sampled_from([(kind, label, 0), (kind,), 5, f"{kind}{label}"]))
+    return draw(st.sampled_from([tuple, list]))(events)
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_event_sequences())
+def test_route_shape_matches_the_reference_walk(events):
+    k = max(len(events) // 2, 1)
+    instances = [_SINGLE_BY_N[k], _MULTI_BY_N[k], _SINGLE_BY_N[k + 1]]
+    shared = ss.Route(events=events)  # its shape check is cached across the instances
+    for inst in instances:
+        want = _outcome(lambda: reference_validate(events, inst))
+        for route in (shared, ss.Route(events=events)):
+            assert _outcome(lambda: route.validate(inst)) == want
+            if want is None:
+                order = reference_pickup_order(events)
+                assert route.pickup_order == order
+                assert list(map(type, route.pickup_order)) == list(map(type, order))
+
+
+def test_canonical_event_routes_take_the_order_only_check():
+    events = (("P", 3), ("P", 1), ("P", 2), ("D", 1), ("D", 2), ("D", 3))
+    route = ss.Route(events=events)
+    route.validate(ss.generate_lower_bound_instance(3))
+    assert route.pickup_order == (3, 1, 2) and vars(route)["_shape"] == (3, None, False)
+    # a numpy label takes the walk, and passes it
+    numpy_labels = ss.Route(events=events[:2] + (("P", np.int64(2)),) + events[3:])
+    numpy_labels.validate(ss.generate_lower_bound_instance(3))
+    assert numpy_labels.pickup_order == (3, 1, 2)
+
+
+@pytest.mark.parametrize("events", [
+    (("P", 1, 0), ("P", 2), ("D", 1), ("D", 2)),
+    (("P", 1), ("P",), ("D", 1), ("D", 2)),
+    (("P", 1), 2, ("D", 1), ("D", 2)),
+    5,
+    None,
+], ids=["triple", "single", "int-event", "int-events", "none-events"])
+def test_malformed_events_raise_a_package_error(events):
+    inst = ss.line_instance([3, 2], 0)
+    for _ in range(2):  # a malformed route caches no shape
+        with pytest.raises(MalformedInputError) as info:
+            ss.sir_feasible(inst, ss.Route(events=events))
+        assert str(info.value) == f"route events must be (kind, label) pairs, got {events!r}"
