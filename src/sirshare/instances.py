@@ -492,10 +492,19 @@ class Route:
     ``single_dropoff`` route. Pickling and copying carry only the field the
     route was built from, so none of shape, verdict or ledger (nor their
     instance) is pickled or copied; ``==``, ``hash`` and ``repr`` read
-    ``events`` alone.
+    ``events`` alone. ``Route(events=...)`` keeps events given as another
+    iterable, such as a list or a generator, as a tuple.
     """
 
     events: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        events = vars(self)["events"]
+        if type(events) is not tuple:  # a list or a generator: its tuple twin, hashable and re-readable
+            try:
+                vars(self)["events"] = tuple(events)
+            except TypeError:  # not iterable: ``pickup_order`` names the fault
+                pass
 
     @classmethod
     def single_dropoff(cls, order: Iterable[int]) -> "Route":
@@ -637,14 +646,18 @@ Route.events.__set_name__(Route, "events")
 
 def _check_positive(name: str, value: float) -> None:
     """Raise unless ``value`` is a positive, finite real number: MalformedInputError
-    for one that is not a real number or is +inf, ConstructionError for one
-    that is not positive."""
+    for one that is not a real number, is +inf or is an integer beyond float
+    range, ConstructionError for one that is not positive."""
     if not _is_real(value):
         raise MalformedInputError(f"{name} must be a real number, not {value!r}")
     if value == math.inf:
         raise MalformedInputError(f"{name} must be finite, got {value}")
     if not (value > 0):
         raise ConstructionError(f"{name} must be positive, got {value}")
+    try:
+        float(value)
+    except OverflowError:
+        raise MalformedInputError(f"{name} must be finite, got an integer beyond float range") from None
 
 
 def generate_lower_bound_instance(

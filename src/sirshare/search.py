@@ -9,13 +9,20 @@ j-th right after pickup a.
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
-- ``_subset_dp`` is the one dynamic program over (set of riders, end
-  rider), the recursion of Bellman (1962) and Held & Karp (1962). Each of
-  its two clients brings its masks, seeds and label rule: ``opt_sir_route``
-  runs it forward over (set of boarded pickups, last pickup) on bitmasks,
-  bit b-1 of ``ok[j][a]`` being ``passes[j, a, b-1]``, and
+- ``opt_sir_route`` runs the recursion of Bellman (1962) and Held & Karp
+  (1962) over (set of boarded pickups, last pickup) in three steps. Two
+  float64 value passes over the popcount layers of a (2**n, n) table give
+  each state its least prefix distance (forward) and its least suffix
+  distance (backward). A state survives when the two add up to within
+  ``_rounding_slack`` of the optimum; every state of every optimal order
+  does. The exact label DP then picks the lexicographically smallest
+  optimum over the survivors alone. Memory is O(2**n * n) per call, and a
+  table that cannot fit in memory is refused before it is allocated.
+- ``_subset_dp`` is the one label DP over (set of riders, end rider). Each
+  of its two clients brings its moves, seeds and label rule:
+  ``opt_sir_route`` runs it forward over the surviving states, and
   ``starvation.min_route_starvation`` backward over (set of riders boarding
-  last, first of them) on the transposed bitmasks.
+  last, first of them) on the transposed stage bitmasks.
 - ``enumerate_sir_routes`` must list every feasible order. Every feasible
   order extends feasible prefixes, so ``_search`` walks the prefixes level
   by level in blocks of up to ``_BLOCK``, depth first and in lexicographic
@@ -31,8 +38,11 @@ ties towards the lexicographically smallest pickup sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -105,7 +115,7 @@ class SearchResult:
     truncated: bool
 
 
-_BLOCK = 1 << 14  # prefixes that the walk extends in one array step
+_BLOCK = 1 << 14  # prefixes the walk extends, or sums a value pass holds, in one array step
 
 
 def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
@@ -196,23 +206,27 @@ def _search(instance: Instance, rel: float, cap: int,
     return SearchStats(nodes_expanded=nodes, prunes=prunes)
 
 
-def _subset_dp(n: int, moves: list[list[int]], seeds: dict[int, list],
+def _state_table_error(n: int) -> SizeError:
+    return SizeError(f"n={n} needs a table of 2**{n} states, more than can be allocated")
+
+
+def _subset_dp(n: int, moves: Callable[[int], Sequence[int]], seeds: dict[int, list],
                grow: Callable[[list, list, int, int], None]) -> dict[int, list] | None:
-    """The Bellman (1962) / Held & Karp (1962) recursion over (set of riders,
-    end rider), behind ``opt_sir_route`` and ``starvation.min_route_starvation``.
+    """The label DP over (set of riders, end rider), behind ``opt_sir_route``
+    and ``starvation.min_route_starvation``.
 
     ``seeds[r]`` holds the labels of the set {r}. Sets are expanded in
-    ascending mask order, each once complete, then freed. Rider b may join a
-    state of k riders ending at r when bit b-1 of ``moves[k-1][r]`` is set;
-    ``grow(into, labels, r, b)`` then extends the labels by b into ``into``,
-    the labels of (set | b, b), under the caller's dominance rule. Returns
-    the full set's labels by end rider, or None when no order reaches it.
-    Raises SizeError when Python cannot allocate the 2**n states.
+    ascending mask order, each once complete, then freed. Rider b may join
+    the state (mask, r) when bit b-1 of ``moves(mask)[r]`` is set, b not in
+    mask; ``grow(into, labels, r, b)`` then extends the labels by b into
+    ``into``, the labels of (mask | b, b), under the caller's dominance rule.
+    Returns the full set's labels by end rider, or None when no order
+    reaches it. Raises SizeError when Python cannot allocate the 2**n states.
     """
     try:
         states: list[dict[int, list] | None] = [None] * (1 << n)
     except (OverflowError, MemoryError):
-        raise SizeError(f"n={n} needs a table of 2**{n} states, more than can be allocated") from None
+        raise _state_table_error(n) from None
     for r, labels in seeds.items():
         states[1 << (r - 1)] = {r: labels}
     full = (1 << n) - 1
@@ -221,9 +235,9 @@ def _subset_dp(n: int, moves: list[list[int]], seeds: dict[int, list],
         if here is None:
             continue
         states[mask] = None  # every successor is a larger mask
-        layer = moves[mask.bit_count() - 1]
+        out = moves(mask)
         for key, labels in here.items():
-            succs = layer[key] & ~mask
+            succs = out[key] & ~mask
             while succs:
                 bit = succs & -succs
                 succs ^= bit
@@ -233,6 +247,117 @@ def _subset_dp(n: int, moves: list[list[int]], seeds: dict[int, list],
                     succ = states[mask | bit] = {}
                 grow(succ.setdefault(b, []), labels, key, b)
     return states[full]
+
+
+_STATE_BYTES = 32  # per (set, last) state: two float64 tables, the survivor flag, a layer index
+
+
+def _layers(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The moves out of each popcount layer k = 1..n-1 of n bits, as
+    ``(masks, dst)``.
+
+    ``masks`` lists the masks of k bits in ascending order. ``dst[b, m]`` is
+    the flat index in an (n, 2**n) table of the state that rider b + 1
+    joining ``masks[m]`` reaches, (b, masks[m] | 1 << b). Where rider b + 1
+    is already in the mask it is 0, the cell of (rider 1, empty set), which
+    is no state: the forward pass may write there, and the backward pass
+    reads the inf it keeps there.
+    """
+    masks = np.arange(1 << n)
+    pop = np.zeros(1 << n, dtype=np.intp)
+    for b in range(n):
+        pop += (masks >> b) & 1
+    bits = 1 << np.arange(n)[:, None]
+    layers = []
+    for k in range(1, n):
+        layer = np.flatnonzero(pop == k)
+        dst = np.where(bits & layer, 0, (np.arange(n)[:, None] << n) + (layer | bits))
+        layers.append((layer, dst))
+    return layers
+
+
+_cached_layers = functools.lru_cache(maxsize=None)(_layers)  # called for n <= DEFAULT_CAP only
+
+
+def _min_plus(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``out[c, m]`` = min over j of ``h[j, c] + x[j, m]``, a block of
+    columns at a time so that at most about ``_BLOCK`` sums are held at once."""
+    out = np.empty((h.shape[1], x.shape[1]))
+    step = max(1, _BLOCK // h.size)
+    h = h[:, :, None]
+    for lo in range(0, x.shape[1], step):
+        np.minimum.reduce(x[:, None, lo:lo + step] + h, axis=0, out=out[:, lo:lo + step])
+    return out
+
+
+def _near_optimal(instance: Instance, passes: np.ndarray) -> np.ndarray | None:
+    """``keep[r-1, mask]``: does the state (boarded set ``mask``, last
+    pickup r) lie within ``_rounding_slack`` of an optimal order? None when
+    no order is feasible.
+
+    The forward pass gives ``f[r-1, mask]``, the least distance of a
+    feasible prefix reaching the state, folding hops left to right as the
+    walk does; the backward pass gives ``g[r-1, mask]``, the least distance
+    of a feasible way on, folding from the last rider's direct distance
+    backwards. Each pass is one min-plus product per popcount layer.
+    Rounding is monotone, so ``f`` and the optimum
+    ``best = min(f[r-1, full] + direct[r])`` are exactly the floats of the
+    best prefix fold and the best route fold.
+
+    A state survives when ``f + g <= best + _rounding_slack``. Take an order
+    whose fold is exactly ``best`` and one of its states. Its prefix and
+    suffix folds bound ``f`` and ``g`` from above, and each differs from its
+    exact sum by at most one rounding of 2**-53 * T per addition, T being n
+    times the largest table entry; ``best`` differs from the order's exact
+    sum by at most n - 1 such roundings. So ``f + g`` exceeds ``best`` by
+    less than 2n * 2**-53 * T, and the slack is 32(n+1) * 2**-53 * T: every
+    state of every optimal order survives.
+    Raises SizeError, before allocating, when the tables cannot fit in the
+    machine's memory.
+    """
+    n = instance.n
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: the allocation decides
+        memory = sys.maxsize
+    if (n << n) * _STATE_BYTES > memory:
+        raise _state_table_error(n)
+    layers = _cached_layers(n) if n <= DEFAULT_CAP else _layers(n)
+    # hops[k-1][a-1, b-1]: the hop from a to b where b may board (k+1)-th right after a
+    hops = np.where(passes[2:, 1:], instance.dist.entries[:n, :n], np.inf)
+    direct = np.array(instance.direct[1:])
+    try:
+        f = np.full((n, 1 << n), np.inf)
+        g = np.full((n, 1 << n), np.inf)
+    except MemoryError:
+        raise _state_table_error(n) from None
+    f[np.arange(n), 1 << np.arange(n)] = 0.0
+    f_flat, g_flat = f.reshape(-1), g.reshape(-1)
+    for (masks, dst), hop in zip(layers, hops):
+        f_flat[dst] = _min_plus(f[:, masks], hop)
+    best = (f[:, -1] + direct).min()
+    if best == np.inf:
+        return None
+    g[:, -1] = direct
+    for (masks, dst), hop in zip(layers[::-1], hops[::-1]):
+        g[:, masks] = _min_plus(g_flat[dst], hop.T)
+    return np.add(f, g, out=g) <= best + _rounding_slack(instance)
+
+
+def _surviving_moves(passes: np.ndarray, keep: np.ndarray) -> dict[int, list[int]]:
+    """``moves[mask][r]``: bit b-1 is set when pickup b may board right after
+    the surviving state (mask, r) and (mask | b, b) survives too."""
+    n = len(keep)
+    bits = 1 << np.arange(n)
+    masks, lasts = np.nonzero(keep[:, :-1].T)  # ascending masks; the full set moves no further
+    free = (masks[:, None] & bits) == 0
+    stage = n + 1 - np.count_nonzero(free, axis=1)  # the next boarding's stage
+    onward = (free & passes[stage, lasts + 1] & keep[np.arange(n), masks[:, None] | bits]) @ bits
+    first = np.ones(len(masks), dtype=bool)  # the first survivor of each set
+    first[1:] = masks[1:] != masks[:-1]
+    table = np.zeros((np.count_nonzero(first), n + 1), dtype=np.int64)
+    table[np.cumsum(first) - 1, lasts + 1] = onward
+    return dict(zip(masks[first].tolist(), table.tolist()))
 
 
 def _rounding_slack(instance: Instance) -> float:
@@ -292,24 +417,39 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
                   rel: float = DEFAULT_REL_TOL):
     """Minimum-total-distance feasible route, or None if none exists.
 
-    Forward ``_subset_dp`` over (set of boarded pickups, last pickup): the
-    Bellman--Held--Karp recursion, O(2**n * n**2) time over O(2**n * n)
-    states, each holding its best prefixes as (partial distance, order), so
-    the orders take O(2**n * n**2) memory.
-    Distances fold as the walk folds them: hops left to right, then the
-    last rider's direct distance.
+    The Bellman--Held--Karp recursion over (set of boarded pickups, last
+    pickup), in three steps over the ``_stage_verdicts`` table:
+
+    1. a forward value pass over the popcount layers gives each state its
+       least prefix distance, folding hops left to right as the walk does;
+       its best full state plus the last rider's direct distance is the
+       optimum, bit for bit;
+    2. a backward pass over the same layers gives each state its least
+       suffix distance, and a state survives when the two add up to within
+       ``_rounding_slack`` of the optimum, which keeps every state of every
+       optimal order (``_near_optimal`` gives the rounding bound);
+    3. the label DP (``_subset_dp``) runs forward over the surviving states
+       alone, each holding its best prefixes as (partial distance, order).
 
     Exact ties keep the lexicographically smallest pickup sequence, even
     where rounding makes two different partial distances end in the same
     total: a state keeps a longer prefix beside a shorter one while its
     order is smaller and the gap is within ``_rounding_slack``, which no
-    later rounding can close. Such near-ties are rare, so a state almost
-    always holds one prefix.
+    later rounding can close. When the optimum is unique up to such
+    near-ties, about n states survive; where many orders tie exactly, as on
+    ``reduce_hampath`` tables, most reachable states do.
+
+    The passes take O(2**n * n**2) time and O(2**n * n) memory; SizeError
+    refuses, before allocating, tables that cannot fit in the machine's
+    memory.
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
+    passes = _stage_verdicts(instance, rel)
+    keep = _near_optimal(instance, passes)
+    if keep is None:
+        return None
     rows = instance.rows
-    ok = _masks(_stage_verdicts(instance, rel))
     slack = _rounding_slack(instance)
 
     def grow(into: list, labels: list, last: int, b: int) -> None:
@@ -328,10 +468,8 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
                                if not (dist + slack < d or (dist <= d and order < o))]
                 into.append((dist, order))
 
-    # a state of k boarded pickups takes its next pickup at stage k + 1
-    ends = _subset_dp(n, ok[2:], {p: [(0.0, (p,))] for p in range(1, n + 1)}, grow)
-    if not ends:
-        return None
+    seeds = {p: [(0.0, (p,))] for p in range(1, n + 1) if keep[p - 1, 1 << (p - 1)]}
+    ends = _subset_dp(n, _surviving_moves(passes, keep).__getitem__, seeds, grow)
     dist, order = min((d + instance.direct_distance(last), o)
                       for last, labels in ends.items() for d, o in labels)
     return Route.single_dropoff(order), dist

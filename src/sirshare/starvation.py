@@ -160,8 +160,8 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
                 into.append((dist, factor, order))
 
     # the first of a suffix of k riders boards at stage n - k + 1
-    ends = _subset_dp(n, before[n:1:-1], {f: [(direct[f], 1.0, (f,))] for f in range(1, n + 1)},
-                      grow)
+    ends = _subset_dp(n, lambda mask: before[n + 1 - mask.bit_count()],
+                      {f: [(direct[f], 1.0, (f,))] for f in range(1, n + 1)}, grow)
     if not ends:
         return None
     factor, order = min((f, o) for labels in ends.values() for _, f, o in labels)

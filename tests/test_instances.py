@@ -539,6 +539,17 @@ def test_generators_name_an_infinite_parameter(make, name):
     assert str(info.value) == f"{name} must be finite, got inf"
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: ss.generate_sqrt_tight_instance(3, ell=10**400), "ell"),
+    (lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=10**400), "margin"),
+    (lambda: ss.generate_lower_bound_instance(3, slack=10**400), "slack"),
+], ids=["sqrt-ell", "path-tsp-margin", "lower-bound-slack"])
+def test_generators_name_an_integer_beyond_float_range(make, name):
+    with pytest.raises(MalformedInputError) as info:
+        make()
+    assert str(info.value) == f"{name} must be finite, got an integer beyond float range"
+
+
 def test_generators_still_take_integral_and_numpy_values():
     inst = ss.generate_lower_bound_instance(3, alpha_op=2, alphas=[np.float64(1.5), 1, 2])
     assert inst.alpha_op == 2.0 and inst.alphas == (1.5, 1.0, 2.0)
@@ -973,12 +984,18 @@ def test_route_shape_matches_the_reference_walk(events):
     k = max(len(events) // 2, 1)
     instances = [_SINGLE_BY_N[k], _MULTI_BY_N[k], _SINGLE_BY_N[k + 1]]
     shared = ss.Route(events=events)  # its shape check is cached across the instances
+    twin = tuple(events)
+    # a list or a generator gives the route of its tuple twin
+    alike = [ss.Route(events=twin), ss.Route(events=list(twin)), ss.Route(events=(e for e in twin))]
+    for route in alike:
+        assert route.events == twin and route == shared and hash(route) == hash(shared)
+        assert pickle.loads(pickle.dumps(route)) == shared
     for inst in instances:
-        want = _outcome(lambda: reference_validate(events, inst))
-        for route in (shared, ss.Route(events=events)):
+        want = _outcome(lambda: reference_validate(twin, inst))
+        for route in (shared, *alike):
             assert _outcome(lambda: route.validate(inst)) == want
             if want is None:
-                order = reference_pickup_order(events)
+                order = reference_pickup_order(twin)
                 assert route.pickup_order == order
                 assert list(map(type, route.pickup_order)) == list(map(type, order))
 

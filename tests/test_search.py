@@ -20,6 +20,7 @@ from corpus import (
     random_line_positions,
     with_regime,
 )
+from search_oracle import reference_opt_route
 
 
 def unpruned_feasible_set(instance, rel=DEFAULT_REL_TOL):
@@ -198,6 +199,24 @@ def test_dynamic_programs_refuse_a_state_table_they_cannot_allocate():
         ss.opt_sir_route(inst, cap=64)
     with pytest.raises(SizeError, match="2\\*\\*64 states"):
         ss.min_route_starvation(inst, cap=64)
+
+
+def test_opt_route_refuses_value_tables_before_allocating_them(monkeypatch):
+    # 40 * 2**40 states: more than any machine's memory, so nothing is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="2\\*\\*40 states"):
+            ss.opt_sir_route(ss.generate_lower_bound_instance(40), cap=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # the bound is the machine's memory: on a 1 MB machine, n = 12 does not fit
+    inst = ss.generate_lower_bound_instance(12)
+    assert ss.opt_sir_route(inst, cap=12)[0].pickup_order == tuple(range(1, 13))
+    monkeypatch.setattr(search_module.os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else 4096)
+    with pytest.raises(SizeError, match="2\\*\\*12 states"):
+        ss.opt_sir_route(inst, cap=12)
 
 
 def test_enumerate_rejects_multi_dropoff():
@@ -482,6 +501,57 @@ def test_optima_match_permutation_scan(rel):
         shortest, least_starved = scan_optima(inst, rel)
         assert ss.opt_sir_route(inst, rel=rel) == shortest, name
         assert ss.min_route_starvation(inst, rel=rel) == least_starved, name
+
+
+def _lockstep_corpus():
+    yield from _oracle_corpus()
+    rng = np.random.default_rng(72)
+    for n in range(8, 11):
+        for p in (0.35, 0.6):
+            yield f"hampath n={n} p={p}", ss.reduce_hampath(*random_graph(rng, n, p))
+    for n in (8, 9):
+        for dim in (1, 2):
+            points = (rng.integers(0, 20, size=(n, dim)) * 0.1).tolist()
+            yield f"grid{dim}d n={n}", ss.reduce_path_tsp(ss.from_euclidean(points))
+    for n in (7, 8):
+        yield f"uniform n={n}", ss.reduce_path_tsp(1.0 - np.eye(n))
+    for n in range(3, 9):
+        inst = random_euclidean_instance(rng, n, alpha_low=0.3, alpha_high=2.0)
+        yield f"zero n={n}", with_regime(inst, "zero")
+
+
+def survivors_by_layer(inst, rel):
+    """How many states of each popcount layer ``opt_sir_route``'s label DP visits."""
+    keep = search_module._near_optimal(inst, search_module._stage_verdicts(inst, rel))
+    counts = [0] * (inst.n + 1)
+    for mask in np.nonzero(keep)[1].tolist():
+        counts[mask.bit_count()] += 1
+    return counts
+
+
+@pytest.mark.parametrize("rel", [DEFAULT_REL_TOL, 0.0], ids=["default", "exact"])
+def test_opt_route_matches_the_label_dp_over_every_state(rel):
+    crowded = []
+    for name, inst in _lockstep_corpus():
+        want = reference_opt_route(inst, rel)
+        got = ss.opt_sir_route(inst, cap=inst.n, rel=rel)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got[0] == want[0] and repr(got[1]) == repr(want[1]), name
+        if max(survivors_by_layer(inst, rel)) > 1:
+            crowded.append(name)
+    # near-ties and exact ties: more than one state of a layer survives
+    assert {"grid2d collision", "hampath n=8 p=0.6"} <= set(crowded)
+
+
+def test_exact_ties_keep_every_reachable_state():
+    # every order of the all-equal table has the same length, so every state survives
+    n = 6
+    inst = ss.reduce_path_tsp(1.0 - np.eye(n))
+    assert survivors_by_layer(inst, DEFAULT_REL_TOL) == [0] + [math.comb(n, k) * k for k in range(1, n + 1)]
+    # the lower-bound instance's identity is its only feasible order: one state per layer
+    assert survivors_by_layer(ss.generate_lower_bound_instance(n), DEFAULT_REL_TOL) == [0] + [1] * n
 
 
 # ---------------------------------------------------------------------------
