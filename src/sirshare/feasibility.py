@@ -403,12 +403,16 @@ def sir_feasible(instance: Instance, route: Route,
                  rel: float = DEFAULT_REL_TOL) -> FeasibilityResult:
     """Decide whether some budget-balanced table is SIR on this route.
 
-    For single-dropoff routes each stage's incremental detour is compared
-    against its shrinking budget (``Instance.detour`` and ``Instance.budget``);
-    per-rider dropoffs take the stage-cost form. Stage slacks within
-    tolerance of zero count as feasible. The tolerance and route are
-    validated first. The check stops at the first failing stage and builds
-    no per-stage object: the result's ``stages`` is built on first read.
+    Single-dropoff stages test each detour against its shrinking budget
+    (``Instance.detour`` and ``Instance.budget``) under ``_stage_fits``, the
+    test the searches tabulate, reading the route's columns of it from the
+    instance's kept grid (``Instance._stage_grid``).
+    Per-rider dropoffs take the stage-cost form, where in ``infinite`` the
+    riders' side decides and, on a tie, the operator's side does
+    (``_limit_pair``). Stage slacks within tolerance of zero count as
+    feasible. The tolerance and route are validated first. The check stops
+    at the first failing stage and builds no per-stage object: the result's
+    ``stages`` is built on first read.
 
     Decided once per (instance, route, ``rel``): the route keeps its verdict
     for the last instance and tolerance it served, keyed by the instance's
@@ -432,35 +436,61 @@ def _stage_check(instance: Instance, route: Route, rel: float) -> tuple[int | No
 
     if instance.dropoff_mode == SINGLE:
         order = route.pickup_order
-        detour, budget = instance.detour, instance.budget
+        grid = instance._stage_grid(rel)
         for j, a, b in zip(range(2, n + 1), order, order[1:]):
-            if not approx_leq(detour[a][b], budget[j][b], rel):
+            fits = grid[j][b]
+            if fits is None:  # build the rest of the route's columns at once
+                instance._build_stage_columns(rel, grid, zip(range(j, n + 1), order[j - 1:]))
+                fits = grid[j][b]
+            if not fits[a]:
                 return j, (instance, order)
         return None, (instance, order)
 
     costs = stage_costs(instance, route)
     pairs = []
     for j in range(2, n + 1):
-        delta_d = costs.d[j] - costs.d[j - 1]
         if instance.regime == REGIME_ZERO:
-            lhs = delta_d
-            rhs = costs.direct[j]
+            pairs.append((costs.d[j] - costs.d[j - 1], costs.direct[j]))
         elif instance.regime == REGIME_INFINITE:
-            lhs = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
-            lhs += costs.d_i[j][j] - costs.direct[j]
-            rhs = 0.0
+            pairs.append(_limit_pair(costs, j, rel))
         else:
-            lhs = instance.alpha_op * delta_d
-            lhs += sum(
-                instance.alphas[i - 1] * (costs.d_i[i][j] - costs.d_i[i][j - 1])
-                for i in range(1, j)
-            )
-            rhs = instance.alpha_op * costs.direct[j]
-            rhs -= instance.alphas[j - 1] * (costs.d_i[j][j] - costs.direct[j])
-        pairs.append((lhs, rhs))
-    first_violation = next((j for j, (lhs, rhs) in enumerate(pairs, start=2)
-                            if not approx_leq(lhs, rhs, rel)), None)
-    return first_violation, pairs
+            pairs.append(_finite_pair(instance, costs, j))
+    return _first_violation(pairs, rel), pairs
+
+
+def _first_violation(pairs: list[tuple[float, float]], rel: float) -> int | None:
+    """The first stage whose (lhs, rhs) pair, stages 2..n, fails lhs <= rhs."""
+    return next((j for j, (lhs, rhs) in enumerate(pairs, start=2)
+                 if not approx_leq(lhs, rhs, rel)), None)
+
+
+def _finite_pair(instance: Instance, costs: StageCosts, j: int) -> tuple[float, float]:
+    """Stage j in cost form at the stored sensitivities: what the boarding
+    adds to the operator's and the earlier riders' costs, against the
+    newcomer's private fare less their own inconvenience."""
+    alphas = instance.alphas
+    lhs = instance.alpha_op * (costs.d[j] - costs.d[j - 1])
+    lhs += sum(alphas[i - 1] * (costs.d_i[i][j] - costs.d_i[i][j - 1]) for i in range(1, j))
+    rhs = instance.alpha_op * costs.direct[j]
+    rhs -= alphas[j - 1] * (costs.d_i[j][j] - costs.direct[j])
+    return lhs, rhs
+
+
+def _limit_pair(costs: StageCosts, j: int, rel: float) -> tuple[float, float]:
+    """Stage j as every sensitivity grows: the riders' side (the distance the
+    boarding adds for everyone aboard, the newcomer's own detour included)
+    against 0, and on a tie the operator's side, added distance against the
+    newcomer's direct trip. The riders' side is a cancelling sum, so a tie is
+    a value within tolerance of the scale of its operands, or within the
+    rounding such a sum can carry (n(n+1)·2**-48 of that scale, the bound of
+    ``search._rounding_slack``), which ``rel = 0`` sees too."""
+    riders = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
+    riders += costs.d_i[j][j] - costs.direct[j]
+    scale = max(costs.d[j - 1], costs.d[j], costs.direct[j])
+    rounding = costs.n * (costs.n + 1) * scale * 2.0 ** -48
+    if abs(riders) > max(comparison_tolerance(scale, rel), rounding):
+        return riders, 0.0
+    return costs.d[j] - costs.d[j - 1], costs.direct[j]
 
 
 def _require_feasible(instance: Instance, route: Route, rel: float) -> None:
@@ -477,28 +507,30 @@ def witness_scheme(instance: Instance, route: Route,
     Built recursively: the first rider pays the full private fare; at each
     boarding every existing rider's share drops by exactly their incremental
     inconvenience, and the newcomer absorbs the rest of the operator cost.
-    The newcomer's share is checked against their private fare less their
-    own inconvenience at every stage; a failure identifies the stage at
-    which no budget-balanced SIR table can exist.
+    Raises InfeasibleRouteError at the first stage that ``sir_feasible``
+    rejects. In ``infinite`` that verdict is the limit of growing
+    sensitivities, while the shares are priced at the stored ones, so there
+    the stages must also pass at the stored sensitivities (the ``finite``
+    verdict), or the error names the first that does not. The shares fold
+    the stage costs, so a stage exactly on its budget can leave the table
+    an ulp or two from SIR under ``is_sir(rel=0)``.
     """
     _require_feasible(instance, route, rel)
     costs = stage_costs(instance, route)
     n = costs.n
-    aop = instance.alpha_op
-    rows: list[list[float]] = [[aop * costs.direct[1]]]
+    if instance.regime == REGIME_INFINITE:
+        stage = _first_violation([_finite_pair(instance, costs, j) for j in range(2, n + 1)], rel)
+        if stage is not None:
+            raise InfeasibleRouteError(
+                f"route is SIR-feasible only as the sensitivities grow; at the stored "
+                f"sensitivities it fails at stage {stage}", stage=stage)
+    rows: list[list[float]] = [[instance.alpha_op * costs.direct[1]]]
     for j in range(2, n + 1):
         prev = rows[-1]
         row = [
             prev[i - 1] - (costs.ic[i][j] - costs.ic[i][j - 1])
             for i in range(1, j)
         ]
-        incoming = costs.oc[j] - sum(row)
-        cap = aop * costs.direct[j] - costs.ic[j][j]
-        if not approx_leq(incoming, cap, rel):
-            raise InfeasibleRouteError(
-                f"newcomer share {incoming:.12g} exceeds cap {cap:.12g} at stage {j}",
-                stage=j,
-            )
-        row.append(incoming)
+        row.append(costs.oc[j] - sum(row))
         rows.append(row)
     return CostShareTable(shares=tuple(tuple(r) for r in rows))

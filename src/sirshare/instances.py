@@ -297,6 +297,17 @@ def _stage_denominators(alpha_op: float, prefix: Sequence[float]) -> list[float]
     return [1.0 + acc / alpha_op for acc in prefix[:-1]]
 
 
+def _stage_fits(detour: np.ndarray, budget: np.ndarray, rel: float) -> np.ndarray:
+    """The single-dropoff stage test, elementwise over broadcast arrays: a
+    boarding fits when its detour is at most its budget, ``approx_leq`` with
+    ``comparison_tolerances`` as the slack. The one home of the test: the
+    searches' table (``Instance._stage_verdicts``) and the columns a route's
+    check reads (``Instance._build_stage_columns``) both come from it."""
+    slack = comparison_tolerances(np.maximum(np.abs(detour), np.abs(budget)), rel)
+    with np.errstate(over="ignore"):  # a budget plus a huge slack is inf, as in approx_leq
+        return detour <= budget + slack
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Pickup/dropoff geometry plus pricing and sensitivity parameters.
@@ -337,6 +348,11 @@ class Instance:
         object.__setattr__(self, "alpha_op", alpha_op)
         object.__setattr__(self, "alphas", alphas)
 
+    def __getstate__(self) -> dict:
+        # the fields alone: cached tables and the kept stage grid are rebuilt on demand
+        state = vars(self)
+        return {name: state[name] for name in self.__dataclass_fields__}
+
     def require_single_dropoff(self, what: str) -> None:
         """Raise UnsupportedModeError unless every rider shares one dropoff."""
         if self.dropoff_mode != SINGLE:
@@ -367,8 +383,8 @@ class Instance:
         return self.direct[point_label]
 
     # -- single-dropoff stage tables, by label (index 0 is padding): the j-th boarding,
-    # at b right after a, passes when detour[a][b] <= budget[j][b]. Each entry folds
-    # as the per-stage formula does, so a lookup is bit for bit the recomputed value.
+    # at b right after a, passes when ``_stage_fits(detour[a][b], budget[j][b], rel)``;
+    # each entry folds as the per-stage formula does, so bit for bit.
 
     @cached_property
     def detour(self) -> list[list[float]]:
@@ -391,6 +407,46 @@ class Instance:
             return [[0.0] * (n + 1) for _ in range(n + 1)]
         denoms = _stage_denominators(self.alpha_op, self._priced_prefix)
         return [[0.0] * (n + 1)] + [[d / denom for d in direct] for denom in denoms]
+
+    def _stage_verdicts(self, rel: float) -> np.ndarray:
+        """``passes[j, a, b-1]``: may pickup b board j-th right after pickup a?
+
+        For j >= 2 and a >= 1 a cell is ``_stage_fits(detour[a][b],
+        budget[j][b], rel)``. Stage 1 passes only from a = 0, because anyone
+        may board first; every other cell of stage 0, stage 1 and row a = 0
+        fails. Built afresh for each search, in O(n**3) memory.
+        """
+        n = self.n
+        passes = np.zeros((n + 1, n + 1, n), dtype=bool)
+        passes[1, 0] = True
+        passes[2:, 1:] = _stage_fits(np.array(self.detour)[1:, 1:],  # [a-1, b-1]
+                                     np.array(self.budget)[2:, None, 1:], rel)  # [j-2, -, b-1]
+        return passes
+
+    def _stage_grid(self, rel: float) -> list[list[list[bool] | None]]:
+        """Columns of ``_stage_verdicts(rel)`` as a route's check reads them:
+        ``grid[j][b]``, once built, is the list ``fits[a]`` of ``passes[j, a,
+        b-1]``, and None before. ``_build_stage_columns`` builds the columns
+        a route asks for, so a check costs O(n**2) whatever the instance's
+        size. Kept for the last ``rel`` asked; pickles and copies leave it behind.
+        """
+        kept = vars(self).get("_grid")
+        if kept is None or kept[0] != rel:
+            kept = (rel, [[None] * (self.n + 1) for _ in range(self.n + 1)])
+            vars(self)["_grid"] = kept
+        return kept[1]
+
+    def _build_stage_columns(self, rel: float, grid: list,
+                             stages: Iterable[tuple[int, int]]) -> None:
+        """Fill ``grid[j][b]`` for every (j, b) asked, j >= 2, that is not yet
+        built, in one ``_stage_fits`` call."""
+        missing = [(j, b) for j, b in stages if grid[j][b] is None]
+        detour, budget = self.detour, self.budget
+        fits = _stage_fits(np.array([[row[b] for row in detour] for _, b in missing]),
+                           np.array([[budget[j][b]] for j, b in missing]), rel)
+        fits[:, 0] = False  # row a = 0 is padding
+        for (j, b), column in zip(missing, fits.tolist()):
+            grid[j][b] = column
 
     @cached_property
     def _priced_alphas(self) -> tuple[float, ...]:
@@ -776,11 +832,12 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
                    ell: float = 1.0) -> Instance:
     """Encode an undirected graph so feasible routes are its Hamiltonian paths.
 
-    Pickup points mirror the vertices: adjacent vertices are ell/n apart,
-    non-adjacent ones ell apart, and everyone is ell from the dropoff, with
-    all rates equal. The stage-j budget is ell/j, so a boarding order is
-    feasible exactly when every consecutive pair is a graph edge. The table
-    is generally non-metric; the flag records what validation finds.
+    Pickup points mirror the vertices: adjacent vertices are ell/n apart
+    (on ell's float grid, so an edge's detour is exact), non-adjacent ones
+    ell apart, and everyone is ell from the dropoff, with all rates equal.
+    The stage-j budget is ell/j, so a boarding order is feasible exactly
+    when every consecutive pair is a graph edge, at any tolerance. The
+    table is generally non-metric; the flag records what validation finds.
     """
     _check_integer("vertex count", n_vertices)
     if n_vertices < 2:
@@ -803,11 +860,15 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
 
     n = n_vertices
     size = n + 1
-    mat = np.full((size, size), float(ell))
+    ell = float(ell)
+    edge = (ell / n + ell) - ell  # exact: the sum lies within a factor 2 of ell
+    if edge > ell / n:  # the sum rounded up: take the float below it instead
+        edge = math.nextafter(ell / n + ell, 0.0) - ell
+    mat = np.full((size, size), ell)
     np.fill_diagonal(mat, 0.0)
     for pair in edge_set:
         u, v = tuple(pair)
-        mat[u - 1, v - 1] = mat[v - 1, u - 1] = ell / n
+        mat[u - 1, v - 1] = mat[v - 1, u - 1] = edge
 
     table = DistanceTable.from_matrix(mat)
     return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,

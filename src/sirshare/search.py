@@ -2,10 +2,9 @@
 
 Each stage constraint involves only the two pickups it connects and the
 stage number, so every search request first tabulates all stage verdicts
-once, in one array comparison of the instance's ``detour`` and ``budget``
-tables under the stage test that ``sir_feasible`` applies:
-``passes[j, a, b-1]`` (``_stage_verdicts``) says whether pickup b may board
-j-th right after pickup a.
+once, ``passes[j, a, b-1]`` (``Instance._stage_verdicts``, under the stage
+test ``instances._stage_fits`` that ``sir_feasible`` applies to its route):
+may pickup b board j-th right after pickup a?
 The problem is NP-hard in general (``reduce_hampath``), so the searches are
 exponential; the line metric with equal rates is the polynomial special case.
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from .errors import MalformedInputError, SizeError
 from .instances import Instance, Route, _check_integer
-from .numeric import DEFAULT_REL_TOL, check_tolerance, comparison_tolerances
+from .numeric import DEFAULT_REL_TOL, check_tolerance
 
 DEFAULT_CAP = 10
 
@@ -129,26 +128,6 @@ def _check_searchable(instance: Instance, cap: int, rel: float) -> None:
         )
 
 
-def _stage_verdicts(instance: Instance, rel: float) -> np.ndarray:
-    """``passes[j, a, b-1]``: may pickup b board j-th right after pickup a?
-
-    For j >= 2 and a >= 1 a cell is ``approx_leq(detour[a][b], budget[j][b],
-    rel)``, with ``comparison_tolerances`` as its slack. Stage 1 passes
-    only from a = 0, because anyone may board first; every other cell of
-    stage 0, stage 1 and row a = 0 fails.
-    """
-    n = instance.n
-    detour = np.array(instance.detour)[1:, 1:]  # [a-1, b-1]
-    budget = np.array(instance.budget)[2:, None, 1:]  # [j-2, -, b-1]
-    slack = comparison_tolerances(np.maximum(np.abs(detour), np.abs(budget)), rel)
-    with np.errstate(over="ignore"):  # a budget plus a huge slack is inf, as in approx_leq
-        fits = detour <= budget + slack
-    passes = np.zeros((n + 1, n + 1, n), dtype=bool)
-    passes[1, 0] = True
-    passes[2:, 1:] = fits
-    return passes
-
-
 def _masks(bits: np.ndarray) -> list[list[int]]:
     """A 3-d bool array as nested lists of ints: bit i of ``masks[x][y]`` is
     ``bits[x, y, i]``."""
@@ -174,7 +153,7 @@ def _search(instance: Instance, rel: float, cap: int,
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
-    passes = _stage_verdicts(instance, rel)
+    passes = instance._stage_verdicts(rel)
     hops = np.zeros((n + 1, n))  # hops[a, b-1]; the first boarding adds no hop
     hops[1:] = instance.dist.entries[:n, :n]
     direct = np.array(instance.direct)
@@ -418,7 +397,7 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     """Minimum-total-distance feasible route, or None if none exists.
 
     The Bellman--Held--Karp recursion over (set of boarded pickups, last
-    pickup), in three steps over the ``_stage_verdicts`` table:
+    pickup), in three steps over the ``Instance._stage_verdicts`` table:
 
     1. a forward value pass over the popcount layers gives each state its
        least prefix distance, folding hops left to right as the walk does;
@@ -445,7 +424,7 @@ def opt_sir_route(instance: Instance, cap: int = DEFAULT_CAP,
     """
     _check_searchable(instance, cap, rel)
     n = instance.n
-    passes = _stage_verdicts(instance, rel)
+    passes = instance._stage_verdicts(rel)
     keep = _near_optimal(instance, passes)
     if keep is None:
         return None

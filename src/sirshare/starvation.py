@@ -31,7 +31,6 @@ from .search import (
     _masks,
     _rounding_slack,
     _search,
-    _stage_verdicts,
     _subset_dp,
 )
 
@@ -137,7 +136,7 @@ def min_route_starvation(instance: Instance, cap: int = DEFAULT_CAP,
     slack = _rounding_slack(instance)
     # before[j][b]: the pickups a after which b may board j-th, as a bitmask
     before = [[0] + row
-              for row in _masks(_stage_verdicts(instance, rel)[:, 1:].transpose(0, 2, 1))]
+              for row in _masks(instance._stage_verdicts(rel)[:, 1:].transpose(0, 2, 1))]
 
     def grow(into: list, labels: list, first: int, p: int) -> None:
         hop, own = rows[p - 1][first - 1], direct[p]

@@ -106,13 +106,16 @@ def random_multi_route(rng, n):
     return ss.Route(events=tuple(events))
 
 
-def line_multi_case(rng, n, regime="finite"):
+def line_multi_case(rng, n, regime="finite", jitter=0.05, scale=1.0):
     """Riders on a line, each dropoff between the origin and its own pickup,
-    with a little jitter off the line; the route visits every stop in
-    decreasing coordinate, so riders often leave before a later boarding."""
+    with a little jitter off the line (normal, of deviation ``jitter``); the
+    route visits every stop in decreasing coordinate, so riders often leave
+    before a later boarding. Coordinates are multiplied by ``scale``. Every
+    ``jitter`` and ``scale`` takes the same draws."""
     x = rng.uniform(1.0, 10.0, size=n)
     y = rng.uniform(0.0, 1.0, size=n) * x
-    pts = [(float(a), float(rng.normal(0.0, 0.05))) for a in np.concatenate([x, y])]
+    pts = [(scale * float(a), scale * float(rng.normal(0.0, jitter)))
+           for a in np.concatenate([x, y])]
     stops = sorted([(pts[p - 1][0], "P", p) for p in range(1, n + 1)]
                    + [(pts[n + p - 1][0], "D", p) for p in range(1, n + 1)], reverse=True)
     rank = {}

@@ -5,15 +5,16 @@ array value passes leave within ``search._rounding_slack`` of the optimum.
 ``reference_opt_route`` is the label DP alone over every reachable state, as
 ``opt_sir_route`` ran it before those passes: a forward recursion of Bellman
 (1962) and Held & Karp (1962) over (set of boarded pickups, last pickup), in
-ascending mask order. It shares the stage verdicts and the rounding slack
-with the library, and nothing of the passes or the label driver. Tests
-compare the two on the same instance and tolerance, route and distance alike.
+ascending mask order. It shares the instance's stage verdicts and the
+rounding slack with the library, and nothing of the passes or the label
+driver. Tests compare the two on the same instance and tolerance, route and
+distance alike.
 """
 
 from __future__ import annotations
 
 from sirshare import Route
-from sirshare.search import _rounding_slack, _stage_verdicts
+from sirshare.search import _rounding_slack
 
 
 def _bitmasks(passes):
@@ -32,7 +33,7 @@ def reference_opt_route(instance, rel):
     """
     n = instance.n
     rows = instance.rows
-    ok = _bitmasks(_stage_verdicts(instance, rel))
+    ok = _bitmasks(instance._stage_verdicts(rel))
     slack = _rounding_slack(instance)
     states = [None] * (1 << n)
     for p in range(1, n + 1):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import sirshare as ss
-from sirshare import search
 from sirshare.numeric import approx_leq
 
 from corpus import (
@@ -111,7 +110,7 @@ def test_stage_verdicts_equal_approx_leq_per_cell(rel):
         expected[1, 0] = True  # anyone may board first; stage 1 has no detour test
         for j, a, b in itertools.product(range(2, n + 1), range(1, n + 1), range(1, n + 1)):
             expected[j, a, b - 1] = approx_leq(inst.detour[a][b], inst.budget[j][b], rel)
-        passes = search._stage_verdicts(inst, rel)
+        passes = inst._stage_verdicts(rel)
         assert passes.dtype == bool
         np.testing.assert_array_equal(passes, expected, err_msg=f"n={n} {inst.regime}")
 

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sirshare.errors import (
 from sirshare.numeric import approx_leq
 
 from corpus import (
+    line_multi_case,
     random_euclidean_instance,
     random_feasible_instance,
     random_multi_instance,
@@ -509,6 +511,8 @@ def _lean_verdict_cases():
             route = random_multi_route(rng, n)
             for regime in ("finite", "zero", "infinite"):
                 yield with_regime(inst, regime), route
+    for n in (3, 4, 6):  # feasible with slack at every stage
+        yield random_feasible_instance(rng, n), ss.Route.single_dropoff(range(1, n + 1))
 
 
 _VIEWS = {
@@ -582,6 +586,115 @@ def test_witness_infeasible_raises_with_stage():
     with pytest.raises(InfeasibleRouteError) as err:
         ss.witness_scheme(inst, ss.Route.single_dropoff([2, 1]))
     assert err.value.stage == 2
+
+
+def _shortcut_case(rng):
+    """Route P1 P2 D1 D2 on a non-metric table in ``infinite``: rider 2 rides
+    far shorter than their direct trip, so the riders' side is negative and
+    the limit accepts the route; with rider 1's detour and weight drawn wide,
+    the stored sensitivities accept it in some draws and not in others."""
+    m = np.zeros((4, 4))
+    ranges = {(0, 1): (5, 25), (0, 2): (5, 15), (0, 3): (1, 20),
+              (1, 2): (0.05, 1), (1, 3): (20, 1000), (2, 3): (0.1, 3)}
+    for (a, b), (lo, hi) in ranges.items():
+        m[a, b] = m[b, a] = rng.uniform(lo, hi)
+    alphas = (float(np.exp(rng.uniform(np.log(0.1), np.log(1000)))),
+              float(np.exp(rng.uniform(np.log(0.01), np.log(10)))))
+    inst = ss.Instance(dist=ss.DistanceTable.from_matrix(m), n=2, dropoff_mode="multi",
+                       alpha_op=float(rng.uniform(0.5, 2.0)), alphas=alphas, regime="infinite")
+    return inst, ss.Route(events=(("P", 1), ("P", 2), ("D", 1), ("D", 2)))
+
+
+def _witness_cases():
+    """Tight generators, every stage on its budget (also in ``infinite``, where
+    the exponential instance's collinear boardings add no detour), the
+    multi-dropoff corpus and non-metric ``infinite`` shortcuts."""
+    for n in range(2, 40):
+        rng = np.random.default_rng(n)
+        aop = float(rng.uniform(0.5, 2.0))
+        weights = [aop * float(rng.uniform(0.3, 3.0)) for _ in range(n)]
+        exp_tight = ss.generate_exp_tight_instance(n)
+        for inst in (ss.generate_lower_bound_instance(n),
+                     ss.generate_lower_bound_instance(n, alpha_op=aop, alphas=weights),
+                     ss.generate_sqrt_tight_instance(n), exp_tight,
+                     with_regime(exp_tight, "infinite")):
+            for order in (range(1, n + 1), range(n, 0, -1)):
+                yield "tight", inst, ss.Route.single_dropoff(order)
+    rng = np.random.default_rng(31)
+    for k in range(120):
+        n = 2 + k % 4
+        inst, route = random_multi_instance(rng, n), random_multi_route(rng, n)
+        line, line_route = line_multi_case(rng, n)
+        for regime in ("finite", "zero", "infinite"):
+            yield "multi", with_regime(inst, regime), route
+            yield "multi", with_regime(line, regime), line_route
+    for _ in range(200):
+        yield ("shortcut", *_shortcut_case(rng))
+
+
+@pytest.mark.parametrize("rel", [1e-9, 0.0], ids=["default", "exact"])
+def test_witness_refuses_exactly_where_sir_feasible_rejects(rel):
+    # the witness refuses exactly the routes sir_feasible rejects, at the same stage,
+    # tight stages at rel=0 included; in ``infinite`` it also refuses, at the first
+    # failing stage, a route the stored sensitivities reject (the ``finite`` verdict),
+    # and every table it builds is SIR
+    seen = dict.fromkeys(("built", "refused", "built infinite", "refused in the limit only"), 0)
+    for family, inst, route in _witness_cases():
+        stage = ss.sir_feasible(inst, route, rel=rel).first_violation
+        limit_only = stage is None and inst.regime == "infinite"
+        if limit_only:
+            stage = ss.sir_feasible(with_regime(inst, "finite"), route, rel=rel).first_violation
+        where = (family, route.to_tokens(), inst.regime)
+        fresh = copy.copy(route)  # no kept verdict: the witness decides afresh
+        try:
+            table = ss.witness_scheme(inst, fresh, rel=rel)
+        except InfeasibleRouteError as err:
+            assert err.stage == stage is not None, where
+            seen["refused in the limit only" if limit_only else "refused"] += 1
+        else:
+            assert stage is None, where
+            # at rel=0 is_sir compares strictly, and the shares carry the rounding of the
+            # stage costs they fold: a few tables here miss by an ulp, none by 1e-12
+            assert ss.is_sir(inst, route, table, rel=rel or 1e-12)[0], where
+            seen["built infinite" if inst.regime == "infinite" else "built"] += 1
+    assert min(seen.values()) >= 20 and seen["built"] + seen["refused"] >= 500, seen
+
+
+def test_witness_refuses_a_route_feasible_only_in_the_limit():
+    # P1 P2 D1 D2: boarding 2 makes rider 1 ride 10.1 further and takes rider 2 home in
+    # 1.1 against a direct 1000, so the unweighted riders' side is -988.8 and the limit
+    # accepts; at the stored weights rider 1's 10.1 costs 10,100, and rider 2 may pay at
+    # most about 2,000 (their fare of 1,000 plus the 998.9 their ride saves them)
+    m = np.full((4, 4), 1000.0)
+    np.fill_diagonal(m, 0.0)
+    for a, b, d in ((0, 2, 10.0), (0, 1, 20.0), (1, 2, 0.1), (2, 3, 1.0)):
+        m[a, b] = m[b, a] = d
+    inst = ss.Instance(dist=ss.DistanceTable.from_matrix(m), n=2, dropoff_mode="multi",
+                       alpha_op=1.0, alphas=(1000.0, 1.0), regime="infinite")
+    route = ss.Route(events=(("P", 1), ("P", 2), ("D", 1), ("D", 2)))
+    result = ss.sir_feasible(inst, route)
+    assert result.feasible and result.stages[0].lhs == pytest.approx(-988.8)
+    with pytest.raises(InfeasibleRouteError, match="only as the sensitivities grow") as err:
+        ss.witness_scheme(inst, route)
+    assert err.value.stage == 2
+    assert not ss.sir_feasible(with_regime(inst, "finite"), route).feasible
+
+
+def test_one_route_check_stays_quadratic_in_memory():
+    # the check reads its route's n - 1 columns of the stage verdicts, never the
+    # whole (n+1) x (n+1) x n table, which at n = 512 would take over 134 MB
+    n = 512
+    inst = ss.generate_exp_tight_instance(n)
+    route = ss.Route.single_dropoff(range(1, n + 1))
+    inst.detour, inst.budget  # the instance's own O(n**2) tables, built outside the trace
+    tracemalloc.start()
+    try:
+        result = ss.sir_feasible(inst, route, rel=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.feasible
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_witness_budget_balanced_at_every_stage():

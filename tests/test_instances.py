@@ -455,13 +455,17 @@ def test_hampath_edgeless_graph_no_routes():
     assert len(ss.enumerate_sir_routes(inst).routes) == 0
 
 
-def test_hampath_counts_match_dfs_oracle():
+@pytest.mark.parametrize("rel", [1e-9, 0.0], ids=["default", "exact"])
+def test_hampath_counts_match_dfs_oracle(rel):
     rng = np.random.default_rng(101)
-    for _ in range(25):
-        n_vertices, edges = random_graph(rng, int(rng.integers(2, 7)))
+    graphs = [random_graph(rng, int(rng.integers(2, 7))) for _ in range(25)]
+    # path graphs: at n = 6, 9 and 10 the float (ell/n + ell) - ell exceeds ell/n,
+    # so an edge distance of ell/n would fold past the stage budget at rel=0
+    graphs += [(n, [(v, v + 1) for v in range(1, n)]) for n in range(3, 13)]
+    for n_vertices, edges in graphs:
         inst = ss.reduce_hampath(n_vertices, edges)
-        found = len(ss.enumerate_sir_routes(inst).routes)
-        assert found == count_directed_hamiltonian_paths(n_vertices, edges)
+        found = len(ss.enumerate_sir_routes(inst, cap=12, rel=rel).routes)
+        assert found == count_directed_hamiltonian_paths(n_vertices, edges), (n_vertices, edges)
 
 
 def test_hampath_rejects_self_loop():

@@ -3,6 +3,8 @@
 The program constrains every rider at every boarding from their own on,
 dropped off or not, so it also pins the one disutility rule of
 ``disutility_trace``: a rider who has left may not be charged more later.
+The ``infinite`` regime is checked against the program at very large
+sensitivities.
 """
 
 import itertools
@@ -13,17 +15,23 @@ import pytest
 pytest.importorskip("scipy")
 
 import sirshare as ss  # noqa: E402
+from sirshare.numeric import DEFAULT_REL_TOL  # noqa: E402
 
 from conftest import SWEEP_SEED  # noqa: E402
 from corpus import (  # noqa: E402
     criterion_one_instances,
     line_multi_case,
     random_multi_instance,
+    random_multi_route,
     with_regime,
 )
 from lp_oracle import sir_margin  # noqa: E402
 
 TIE = 1e-7  # margins within this fraction of the largest fare are too close to call
+# ``infinite`` is the limit of growing sensitivities; the program stands for it with every
+# sensitivity at BIG times the operator rate (at 10**6 a jittered line case whose riders
+# ride 4e-7 out of their way is still on the finite side of the limit)
+BIG = 1e9
 
 
 def _leaves_early(route):
@@ -33,7 +41,8 @@ def _leaves_early(route):
 
 def _lp(inst, route, departed=True):
     n = inst.n
-    alphas = (0.0,) * n if inst.regime == "zero" else inst.alphas
+    alphas = {"zero": (0.0,) * n,
+              "infinite": (BIG * inst.alpha_op,) * n}.get(inst.regime, inst.alphas)
     dropoff = (lambda p: n) if inst.dropoff_mode == "single" else (lambda p: n + p - 1)
     return sir_margin(inst.dist.entries, route.events, dropoff, inst.alpha_op, alphas,
                       departed=departed)
@@ -96,6 +105,39 @@ def test_lp_oracle_agrees_with_sir_feasible_on_a_criterion_one_slice(regime):
             assert verdict == (lp.margin > 0), (inst.n, perm, lp.margin)
             feasible += verdict
     assert len(instances) == 17 and feasible >= 10, feasible
+
+
+def test_lp_oracle_agrees_with_sir_feasible_in_the_infinite_regime():
+    # where the riders' side ties (a rider who has left rides no detour, and a
+    # newcomer riding straight to their dropoff adds none), the operator's side
+    # decides; on exactly collinear stops far from the origin the tie shows up
+    # as a few ulps either way, which must not decide it, at rel=0 either
+    rng = np.random.default_rng(13)
+    cases = []
+    for k in range(300):
+        n = 2 + k % 4
+        cases.append(line_multi_case(rng, n, regime="infinite"))
+        cases.append(line_multi_case(rng, n, regime="infinite", jitter=0.0))
+        cases.append(line_multi_case(rng, n, regime="infinite", jitter=0.0, scale=1e4))
+        inst = random_multi_instance(rng, n)
+        cases.append((with_regime(inst, "infinite"), random_multi_route(rng, n)))
+    for inst in criterion_one_instances(SWEEP_SEED, 40):
+        if inst.n <= 4:
+            inst = with_regime(inst, "infinite")
+            cases += [(inst, ss.Route.single_dropoff(perm))
+                      for perm in itertools.permutations(range(1, inst.n + 1))]
+    counts = {"feasible": 0, "infeasible": 0, "too_close": 0}
+    for k, (inst, route) in enumerate(cases):
+        lp = _lp(inst, route)
+        if abs(lp.margin) <= TIE * _scale(inst):
+            counts["too_close"] += 1
+            continue
+        for rel in (DEFAULT_REL_TOL, 0.0):
+            verdict = ss.sir_feasible(inst, route, rel=rel).feasible
+            assert verdict == (lp.margin > 0), (k, rel, route.to_tokens(), lp.margin)
+        counts["feasible" if verdict else "infeasible"] += 1
+    assert counts["feasible"] >= 100 and counts["infeasible"] >= 700, counts
+    assert counts["too_close"] <= len(cases) // 100, counts
 
 
 def test_a_rider_who_has_left_cannot_pay_for_a_later_boarding():

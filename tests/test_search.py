@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import math
@@ -522,7 +523,7 @@ def _lockstep_corpus():
 
 def survivors_by_layer(inst, rel):
     """How many states of each popcount layer ``opt_sir_route``'s label DP visits."""
-    keep = search_module._near_optimal(inst, search_module._stage_verdicts(inst, rel))
+    keep = search_module._near_optimal(inst, inst._stage_verdicts(rel))
     counts = [0] * (inst.n + 1)
     for mask in np.nonzero(keep)[1].tolist():
         counts[mask.bit_count()] += 1
@@ -552,6 +553,72 @@ def test_exact_ties_keep_every_reachable_state():
     assert survivors_by_layer(inst, DEFAULT_REL_TOL) == [0] + [math.comb(n, k) * k for k in range(1, n + 1)]
     # the lower-bound instance's identity is its only feasible order: one state per layer
     assert survivors_by_layer(ss.generate_lower_bound_instance(n), DEFAULT_REL_TOL) == [0] + [1] * n
+
+
+# ---------------------------------------------------------------------------
+# the stage test: one helper, the searches' table and the instance's kept grid
+# ---------------------------------------------------------------------------
+
+def hair_instance(alphas=(1.0, 1.0)):
+    # both pickups 1 from the dropoff and 0.5000000000005 apart: with equal rates
+    # the stage-2 detour exceeds its budget of 0.5 by about 5e-13, within the
+    # default tolerance and outside rel=0
+    gap = 0.5000000000005
+    table = ss.DistanceTable.from_matrix([[0.0, gap, 1.0], [gap, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    return ss.Instance(dist=table, n=2, dropoff_mode="single", alpha_op=1.0, alphas=alphas)
+
+
+def test_kept_stage_grid_follows_the_tolerance_asked():
+    inst = hair_instance()
+    route = ss.Route.single_dropoff((1, 2))
+    for rel in (DEFAULT_REL_TOL, 0.0, DEFAULT_REL_TOL, 0.0):
+        fits = rel > 0
+        for probe in (route, ss.Route.single_dropoff((1, 2))):  # a kept verdict, a fresh one
+            assert ss.sir_feasible(inst, probe, rel=rel).feasible == fits, rel
+        assert len(ss.enumerate_sir_routes(inst, rel=rel).routes) == 2 * fits, rel
+        assert (ss.opt_sir_route(inst, rel=rel) is not None) == fits, rel
+        assert (ss.min_route_starvation(inst, rel=rel) is not None) == fits, rel
+        assert bool(inst._stage_verdicts(rel)[2, 1, 1]) == fits, rel
+        assert inst._stage_grid(rel)[2][2] == [False, fits, True], rel  # a = 2 adds no detour
+
+
+def test_feasibility_and_searches_apply_one_stage_test(monkeypatch):
+    # every single-dropoff stage verdict goes through instances._stage_fits; a route's
+    # check asks it for the route's n - 1 columns only, and a repeat check asks nothing
+    calls = []
+    fits = ss.instances._stage_fits
+
+    def spy(detour, budget, rel):
+        calls.append(np.broadcast_shapes(np.shape(detour), np.shape(budget)))
+        return fits(detour, budget, rel)
+
+    monkeypatch.setattr(ss.instances, "_stage_fits", spy)
+    n = 5
+    inst = ss.generate_lower_bound_instance(n)
+    assert ss.sir_feasible(inst, ss.Route.single_dropoff(range(1, n + 1))).feasible
+    assert ss.sir_feasible(inst, ss.Route.single_dropoff(range(1, n + 1))).feasible
+    assert calls == [(n - 1, n + 1)]
+    ss.enumerate_sir_routes(inst)
+    ss.opt_sir_route(inst)
+    ss.min_route_starvation(inst)
+    assert calls[1:] == [(n - 1, n, n)] * 3
+
+
+def test_a_new_instance_keeps_its_own_stage_grid():
+    inst = hair_instance()
+    route = ss.Route.single_dropoff((1, 2))
+    assert not ss.sir_feasible(inst, route, rel=0.0).feasible
+    twin = hair_instance()
+    assert twin._stage_grid(0.0) is not inst._stage_grid(0.0)
+    # a lighter first rider widens the stage-2 budget to 1 / 1.5
+    lighter = hair_instance(alphas=(0.5, 1.0))
+    assert ss.sir_feasible(lighter, route, rel=0.0).feasible
+    assert not ss.sir_feasible(inst, route, rel=0.0).feasible  # still read from its own grid
+    # a pickled or copied instance leaves the grid and the cached tables behind
+    for clone in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+        assert set(vars(clone)) == {"dist", "n", "dropoff_mode", "alpha_op", "alphas", "regime"}
+        assert not ss.sir_feasible(clone, route, rel=0.0).feasible
+        assert ss.sir_feasible(clone, route).feasible
 
 
 # ---------------------------------------------------------------------------
