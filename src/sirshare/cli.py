@@ -380,7 +380,7 @@ def cmd_generate(args) -> int:
     else:  # unreachable; argparse restricts choices
         raise MalformedInputError(f"unknown generator {kind!r}")
 
-    text = json.dumps(_round_floats(inst.to_dict()), indent=2, sort_keys=True)
+    text = json.dumps(inst.to_dict(), indent=2, sort_keys=True)  # exact floats, as Instance.save
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

@@ -101,8 +101,7 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     priced = instance._priced_alphas
     detour = instance.detour
     shares = table.shares
-    ibs = []
-    tibs = []
+    ibs, tibs = [], []
     for j in range(2, instance.n + 1):
         det = detour[order[j - 2]][order[j - 1]]
         fare = aop * instance.direct_distance(order[j - 1])
@@ -154,7 +153,7 @@ def beta_fair_table(instance: Instance, route: Route,
         incoming = b * aop * sd_j + keep * (aop + instance._priced_prefix[j - 1]) * det
         row.append(incoming)
         rows.append(row)
-    return CostShareTable(shares=tuple(tuple(r) for r in rows))
+    return CostShareTable(shares=rows)
 
 
 def xc_table(instance: Instance, route: Route,
@@ -201,11 +200,9 @@ def xc_table(instance: Instance, route: Route,
                 segments[i] += split
                 received[i] += det[j]
         tail = sd[j] / j
-        shares.append(tuple([
-            aop * (segments[i] + tail + paid_to_earlier[i] - received[i])
-            for i in range(1, j + 1)
-        ]))
-    return CostShareTable(shares=tuple(shares))
+        shares.append([aop * (segments[i] + tail + paid_to_earlier[i] - received[i])
+                       for i in range(1, j + 1)])
+    return CostShareTable(shares=shares)
 
 
 def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTable,
@@ -220,9 +217,9 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     instance.require_single_dropoff("fairness verification")
     betas = _stage_betas(instance, betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
-    alphas = instance.alphas
     residuals = []
     ok = True
+    least = comparison_tolerance(1.0, rel)  # no cell's slack is smaller: every scale is >= 1
     for j in range(2, instance.n + 1):
         tib = breakdown.tib_value(j)
         fare_scale = instance.alpha_op * instance.direct_distance(route.pickup_order[j - 1])
@@ -232,17 +229,14 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
             )
         b = betas.for_stage(j)
         weight_sum = instance.alpha_prefix[j - 1]
-        ib = breakdown.ib[j - 2]
+        targets = [b * a / weight_sum if weight_sum > 0 else 0.0 for a in instance.alphas[:j - 1]]
+        targets.append(1.0 - b)
         row = []
-        for i in range(1, j + 1):
-            realized = ib[i - 1] / tib
-            if i < j:
-                target = b * alphas[i - 1] / weight_sum if weight_sum > 0 else 0.0
-            else:
-                target = 1.0 - b
-            res = realized - target
-            row.append(res)
-            if abs(res) > comparison_tolerance(max(abs(realized), abs(target), 1.0), rel):
+        for ib, target in zip(breakdown.ib[j - 2], targets):
+            realized = ib / tib
+            row.append(realized - target)
+            if abs(row[-1]) > least and abs(row[-1]) > comparison_tolerance(
+                    max(abs(realized), abs(target), 1.0), rel):
                 ok = False
         residuals.append(tuple(row))
     return ok, residuals

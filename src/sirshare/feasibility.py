@@ -7,12 +7,18 @@ cost-share table keeps every rider's disutility (share plus inconvenience)
 nonincreasing at each boarding; the per-stage characterization below decides
 this without searching over tables, and ``witness_scheme`` constructs a
 table realizing it whenever one exists.
+
+Table invariant: every :class:`CostShareTable` holds a tuple of rows, row j a
+tuple of j real numbers (no bool, Python's or numpy's), every entry and row sum
+finite. The check runs when the table is built, whoever builds it, and raises
+:class:`MalformedInputError`, so a checker tests only that there is a row per rider.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +38,8 @@ from .instances import (
     Route,
     _check_integer,
 )
-from .numeric import DEFAULT_REL_TOL, approx_leq, check_tolerance, comparison_tolerance
+from .numeric import (DEFAULT_REL_TOL, approx_leq, check_tolerance, comparison_tolerance,
+                      rounding_slack)
 
 
 def conditional_route(route: Route, j: int) -> Route:
@@ -170,10 +177,34 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
 
 @dataclass(frozen=True)
 class CostShareTable:
-    """Lower-triangular shares: ``shares[j-1][i-1]`` is rider i's share once
-    j riders have boarded (defined for i <= j)."""
+    """Lower-triangular shares: ``shares[j-1][i-1]`` is rider i's share once j riders
+    have boarded (defined for i <= j); checked when built, copied or unpickled."""
 
     shares: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        try:
+            rows = tuple(map(tuple, self.shares))
+            if [*map(len, rows)] != [*range(1, len(rows) + 1)]:
+                raise MalformedInputError("share table row j must hold j shares")
+            entries = itertools.chain.from_iterable
+            kinds = set(map(type, entries(rows)))
+            kinds.discard(float)
+            for kind in kinds:
+                if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, numbers.Real):
+                    raise MalformedInputError(
+                        f"share table entries must be real numbers, not {kind.__name__}")
+            # a float row with a finite sum holds finite floats; other numbers are checked apart
+            finite = all(map(math.isfinite, map(sum, rows))) and (
+                not kinds or all(map(math.isfinite, entries(rows))))
+        except (TypeError, OverflowError):  # no rows of numbers, or a number beyond float range
+            finite = False
+        if not finite:
+            raise MalformedInputError("a share table holds rows of finite real numbers")
+        object.__setattr__(self, "shares", rows)
+
+    def __reduce__(self):
+        return CostShareTable, (self.shares,)
 
     @property
     def n(self) -> int:
@@ -206,34 +237,17 @@ class DisutilityTrace:
         return [list(row) for row in self.du]
 
 
-_BOOLS = frozenset((bool, np.bool_))
-
-
-def _share_sums(table: CostShareTable, n: int) -> list[float]:
-    """The share-table check, run before any checker reads a table: the row
-    sums, once the table has n rows, row j holds j numbers (a bool, Python's
-    or numpy's, is none) and every row sums to a finite value (no entry is
-    NaN or infinite). Raises MalformedInputError otherwise."""
-    shares = table.shares
-    try:
-        if len(shares) != n or any(len(row) != j for j, row in enumerate(shares, start=1)):
-            raise MalformedInputError(
-                f"a share table for {n} riders needs {n} rows, row j holding j shares")
-        if not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(shares))):
-            raise MalformedInputError("share table entries must be numbers, not booleans")
-        sums = [sum(row) for row in shares]
-        finite = all(map(math.isfinite, sums))
-    except TypeError:
-        raise MalformedInputError("share table entries must be numbers") from None
-    if not finite:
-        raise MalformedInputError("a share table row does not sum to a finite number")
-    return sums
+def _rows_for(table: CostShareTable, n: int) -> tuple[tuple[float, ...], ...]:
+    """A checker's one test of a built (so checked) table: its rows, once there is one per rider."""
+    if table.n != n:
+        raise MalformedInputError(
+            f"a share table for {n} riders needs {n} rows, row j holding j shares")
+    return table.shares
 
 
 def budget_balance_residuals(table: CostShareTable, costs: StageCosts) -> list[float]:
-    """Per-stage difference between the summed shares and the operator cost;
-    checks the table first."""
-    return [s - oc for s, oc in zip(_share_sums(table, costs.n), costs.oc[1:])]
+    """Per-stage summed shares less the operator cost, once there is a row per stage."""
+    return [sum(row) - oc for row, oc in zip(_rows_for(table, costs.n), costs.oc[1:])]
 
 
 def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
@@ -243,11 +257,8 @@ def _balanced_costs(instance: Instance, route: Route, table: CostShareTable,
     costs = stage_costs(instance, route)
     for j, res in enumerate(budget_balance_residuals(table, costs), start=1):
         if not abs(res) <= comparison_tolerance(costs.oc[j], rel):
-            raise BudgetBalanceError(
-                f"shares sum to {costs.oc[j] + res:.12g} at stage {j}, "
-                f"operator cost is {costs.oc[j]:.12g}",
-                stage=j,
-            )
+            raise BudgetBalanceError(f"shares sum to {costs.oc[j] + res:.12g} at stage {j}, "
+                                     f"operator cost is {costs.oc[j]:.12g}", stage=j)
     return costs
 
 
@@ -271,17 +282,23 @@ def disutility_trace(instance: Instance, route: Route, table: CostShareTable) ->
     0..i-1 and ``share[i][j] + ic[i][j]`` at every stage j >= i. One rule
     serves every rider, including one already dropped off: no leg is added
     to a rider after their dropoff, so their inconvenience stays put and
-    only their share can still move the row. The table is checked first.
+    only their share can still move the row; the row count is checked first.
     """
     costs = stage_costs(instance, route)
-    _share_sums(table, costs.n)
-    return _trace(costs, instance.alpha_op, table.shares)
+    return _trace(costs, instance.alpha_op, _rows_for(table, costs.n))
 
 
 def _balanced_trace(instance: Instance, route: Route, table: CostShareTable,
                     rel: float) -> DisutilityTrace:
     """The table's disutility trace, once the table is checked to balance the route."""
     return _trace(_balanced_costs(instance, route, table, rel), instance.alpha_op, table.shares)
+
+
+def _rises(before, after, rel: float) -> list[tuple[int, float]]:
+    """The rise test of ``is_sir`` and ``is_ir``: (k, excess) wherever ``after[k-1]`` exceeds
+    ``before[k-1]`` by more than their comparison slack (never negative: computed for a rise)."""
+    return [(k, excess) for k, (b, a) in enumerate(zip(before, after), start=1)
+            if (excess := a - b) > 0 and excess > comparison_tolerance(max(abs(a), abs(b)), rel)]
 
 
 def is_ir(instance: Instance, route: Route, table: CostShareTable,
@@ -294,12 +311,8 @@ def is_ir(instance: Instance, route: Route, table: CostShareTable,
     violation. The table must be budget balanced; otherwise a
     :class:`BudgetBalanceError` names the offending stage.
     """
-    trace = _balanced_trace(instance, route, table, rel)
-    violations = []
-    for i, row in enumerate(trace.du, start=1):
-        excess = row[-1] - row[0]
-        if excess > comparison_tolerance(max(abs(row[-1]), abs(row[0])), rel):
-            violations.append((i, excess))
+    du = _balanced_trace(instance, route, table, rel).du
+    violations = _rises([row[0] for row in du], [row[-1] for row in du], rel)
     return (not violations, violations)
 
 
@@ -312,13 +325,9 @@ def is_sir(instance: Instance, route: Route, table: CostShareTable,
     so a rider already dropped off may not be charged more at a later
     boarding. Returns the verdict plus (rider, stage, excess) violations.
     """
-    trace = _balanced_trace(instance, route, table, rel)
-    violations = []
-    for i, row in enumerate(trace.du, start=1):
-        for j in range(1, len(row)):
-            excess = row[j] - row[j - 1]
-            if excess > comparison_tolerance(max(abs(row[j]), abs(row[j - 1])), rel):
-                violations.append((i, j, excess))
+    du = _balanced_trace(instance, route, table, rel).du
+    violations = [(i, j, excess) for i, row in enumerate(du, start=1)
+                  for j, excess in _rises(row, row[1:], rel)]
     return (not violations, violations)
 
 
@@ -482,13 +491,12 @@ def _limit_pair(costs: StageCosts, j: int, rel: float) -> tuple[float, float]:
     against 0, and on a tie the operator's side, added distance against the
     newcomer's direct trip. The riders' side is a cancelling sum, so a tie is
     a value within tolerance of the scale of its operands, or within the
-    rounding such a sum can carry (n(n+1)·2**-48 of that scale, the bound of
-    ``search._rounding_slack``), which ``rel = 0`` sees too."""
+    rounding such a sum can carry (``rounding_slack`` of that scale), which
+    ``rel = 0`` sees too."""
     riders = sum(costs.d_i[i][j] - costs.d_i[i][j - 1] for i in range(1, j))
     riders += costs.d_i[j][j] - costs.direct[j]
     scale = max(costs.d[j - 1], costs.d[j], costs.direct[j])
-    rounding = costs.n * (costs.n + 1) * scale * 2.0 ** -48
-    if abs(riders) > max(comparison_tolerance(scale, rel), rounding):
+    if abs(riders) > max(comparison_tolerance(scale, rel), rounding_slack(costs.n, scale)):
         return riders, 0.0
     return costs.d[j] - costs.d[j - 1], costs.direct[j]
 
@@ -527,10 +535,7 @@ def witness_scheme(instance: Instance, route: Route,
     rows: list[list[float]] = [[instance.alpha_op * costs.direct[1]]]
     for j in range(2, n + 1):
         prev = rows[-1]
-        row = [
-            prev[i - 1] - (costs.ic[i][j] - costs.ic[i][j - 1])
-            for i in range(1, j)
-        ]
+        row = [prev[i - 1] - (costs.ic[i][j] - costs.ic[i][j - 1]) for i in range(1, j)]
         row.append(costs.oc[j] - sum(row))
         rows.append(row)
-    return CostShareTable(shares=tuple(tuple(r) for r in rows))
+    return CostShareTable(shares=rows)

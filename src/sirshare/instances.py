@@ -188,6 +188,10 @@ class DistanceTable:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    def __reduce__(self):
+        # pickling and copying build the table again, so the copy is checked and frozen too
+        return DistanceTable, (self.entries, self.metric_flag, self.load_check)
+
     @property
     def size(self) -> int:
         return self.entries.shape[0]

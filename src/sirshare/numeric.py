@@ -53,6 +53,13 @@ def comparison_tolerances(scale: np.ndarray, rel: float = DEFAULT_REL_TOL):
         return np.maximum(rel * scale, ABS_FLOOR)
 
 
+def rounding_slack(n: int, scale: float) -> float:
+    """A gap that the rounding of n more additions or divisions, on values
+    below n times ``scale``, cannot close: n(n+1)·2**-48 of ``scale``, folded
+    left to right."""
+    return n * (n + 1) * scale * 2.0 ** -48
+
+
 def approx_leq(a: float, b: float, rel: float = DEFAULT_REL_TOL) -> bool:
     # The slack is never negative, so ``a <= b`` decides at once, except at
     # b = -inf: a nonzero slack is infinite there, and -inf + inf is NaN.

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import MalformedInputError, SizeError
 from .instances import Instance, Route, _check_integer
-from .numeric import DEFAULT_REL_TOL, check_tolerance
+from .numeric import DEFAULT_REL_TOL, check_tolerance, rounding_slack
 
 DEFAULT_CAP = 10
 
@@ -345,10 +345,10 @@ def _rounding_slack(instance: Instance) -> float:
     Every partial sum of a route is below T = n * (largest table entry), and
     each addition or division rounds by at most 2**-53 of its result, so
     after n more steps two values that started more than 2(n+1)·2**-53·T
-    apart still compare the same way. This returns 16 times that bound.
+    apart still compare the same way. This returns 16 times that bound,
+    ``numeric.rounding_slack`` of the largest entry.
     """
-    n = instance.n
-    return n * (n + 1) * max(map(max, instance.rows)) * 2.0 ** -48
+    return rounding_slack(instance.n, max(map(max, instance.rows)))
 
 
 def enumerate_sir_routes(instance: Instance, limit: int | None = None,

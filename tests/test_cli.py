@@ -113,6 +113,23 @@ def test_generate_validate_roundtrip(argv, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("vertices", [6, 9, 10])
+def test_a_generated_path_graph_lists_its_two_paths_at_tolerance_zero(vertices, tmp_path, capsys):
+    # the file keeps the reduction's exact distances, so every edge's detour is on budget
+    path = tmp_path / "path.json"
+    edges = ",".join(f"{v}-{v + 1}" for v in range(1, vertices))
+    code, _, _ = run_cli(capsys, "generate", "hampath", "--vertices", str(vertices),
+                         "--edges", edges, "-o", str(path))
+    assert code == 0
+    assert ss.Instance.load(path).to_dict() == ss.reduce_hampath(
+        vertices, [(v, v + 1) for v in range(1, vertices)]).to_dict()
+    code, out, _ = run_cli(capsys, "routes", str(path), "--tolerance", "0", "--json")
+    assert code == 0
+    listing = json.loads(out)
+    assert listing["count"] == 2
+    assert listing["routes"] == [list(range(1, vertices + 1)), list(range(vertices, 0, -1))]
+
+
 def test_generate_lower_bound_values(capsys):
     code, out, _ = run_cli(capsys, "generate", "lower-bound", "--n", "3")
     assert code == 0

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sirshare as ss
 from sirshare import feasibility
@@ -882,3 +883,90 @@ def test_table_checkers_reject_a_malformed_share_table(check, case):
         assert case.startswith("nan")
     with pytest.raises(MalformedInputError, match="share table"):
         check(inst, route, ss.CostShareTable(shares=shares))
+
+
+_FLAWS = {
+    "nan": lambda row, k: row[:k] + [math.nan] + row[k + 1:],
+    "inf": lambda row, k: row[:k] + [math.inf] + row[k + 1:],
+    "-inf": lambda row, k: row[:k] + [-math.inf] + row[k + 1:],
+    "overflowing-sum": lambda row, k: [1.5e308] * len(row),
+    "bool": lambda row, k: row[:k] + [True] + row[k + 1:],
+    "numpy-bool": lambda row, k: row[:k] + [np.False_] + row[k + 1:],
+    "str": lambda row, k: row[:k] + ["1.0"] + row[k + 1:],
+    "none": lambda row, k: row[:k] + [None] + row[k + 1:],
+    "int-beyond-float": lambda row, k: row[:k] + [10 ** 400] + row[k + 1:],
+    "cancelling-ints": lambda row, k: [10 ** 400, -10 ** 400] + [0] * (len(row) - 2),
+    "share-short": lambda row, k: row[:k] + row[k + 1:],
+    "extra-share": lambda row, k: row + [row[k]],
+}
+
+_SHARES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def _flawed_table(draw):
+    flaw = draw(st.sampled_from(sorted(_FLAWS)))
+    least = 2 if flaw in ("overflowing-sum", "cancelling-ints") else 1  # two shares in a row
+    n = draw(st.integers(min_value=least, max_value=6))
+    rows = [draw(st.lists(_SHARES, min_size=j, max_size=j)) for j in range(1, n + 1)]
+    j = draw(st.integers(min_value=least, max_value=n))
+    rows[j - 1] = _FLAWS[flaw](rows[j - 1], draw(st.integers(min_value=0, max_value=j - 1)))
+    as_tuples = draw(st.booleans())
+    return flaw, [tuple(row) for row in rows] if as_tuples else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flawed_table())
+def test_a_malformed_share_table_is_refused_when_it_is_built(case):
+    flaw, shares = case
+    with pytest.raises(MalformedInputError, match="share table"):
+        ss.CostShareTable(shares=shares)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(*(st.lists(_SHARES, min_size=j, max_size=j) for j in range(1, n + 1)))))
+def test_a_share_table_keeps_its_rows_as_tuples(rows):
+    listed = ss.CostShareTable(shares=list(rows))
+    built = ss.CostShareTable(shares=tuple(map(tuple, rows)))
+    assert type(listed.shares) is tuple and all(type(row) is tuple for row in listed.shares)
+    assert listed == built and hash(listed) == hash(built) and repr(listed) == repr(built)
+    assert listed.to_rows() == [list(row) for row in rows]
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+        assert copied == built
+
+
+def test_a_numpy_row_is_kept_as_a_tuple_of_its_values():
+    table = ss.CostShareTable(shares=(np.array([3.0]), np.array([1.0, 2.0])))
+    assert table.shares == ((3.0,), (1.0, 2.0)) and type(table.shares[1]) is tuple
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_a_copied_share_table_is_checked_again(duplicate):
+    table = ss.CostShareTable(shares=((3.0,), (1.0, 2.0)))
+    assert duplicate(table) == table
+    object.__setattr__(table, "shares", ((3.0,), (1.0, math.nan)))  # past the check
+    with pytest.raises(MalformedInputError, match="share table"):
+        duplicate(table)
+
+
+def test_every_built_share_table_round_trips_through_the_constructor():
+    rng = np.random.default_rng(30)
+    built = 0
+    for n in range(1, 9):
+        for equal_rates in (False, True):
+            inst = random_feasible_instance(rng, n, equal_rates=equal_rates)
+            route = ss.Route.single_dropoff(tuple(range(1, n + 1)))
+            tables = [ss.witness_scheme(inst, route),
+                      ss.beta_fair_table(inst, route, rng.uniform(0.0, 1.0, size=n - 1).tolist())]
+            if equal_rates:
+                tables.append(ss.xc_table(inst, route))
+            for table in tables:
+                assert ss.CostShareTable(shares=table.shares) == table
+                built += 1
+    multi, route = line_multi_case(rng, 4)
+    table = ss.witness_scheme(multi, route)
+    assert ss.CostShareTable(shares=table.shares) == table
+    assert built == 40

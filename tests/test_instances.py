@@ -276,6 +276,20 @@ def test_from_matrix_checks_and_copies_the_table_once(monkeypatch):
         assert not table.entries.flags.writeable
 
 
+@pytest.mark.parametrize("duplicate", [
+    lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_a_copied_distance_table_stays_read_only(duplicate):
+    inst = ss.generate_lower_bound_instance(3)
+    for table in (duplicate(inst.dist), duplicate(inst).dist):
+        assert not table.entries.flags.writeable
+        with pytest.raises(ValueError):
+            table.entries[0, 1] = 0.0
+        assert np.array_equal(table.entries, inst.dist.entries)
+        assert table.metric_flag == inst.dist.metric_flag
+    assert inst.dist.entries[0, 1] == 0.5
+
+
 def test_from_matrix_reports_first_hard_violation():
     # pair (0, 1) is both asymmetric and negative: asymmetry is reported first
     with pytest.raises(MalformedInputError,
