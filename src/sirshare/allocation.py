@@ -200,6 +200,14 @@ def _fold_miles(rows, big_l: float, vehicles) -> float:
     return total
 
 
+def _check_vehicle_count(m_prime: int | None, n: int) -> None:
+    """Raise MalformedInputError unless ``m_prime`` is None or a count in 1..n."""
+    if m_prime is not None:
+        _check_integer("vehicle guess m_prime", m_prime)
+        if not 1 <= m_prime <= n:
+            raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
+
+
 def optimal_allocation(instance: Instance, m_prime: int | None = None,
                        rel: float = DEFAULT_REL_TOL) -> Allocation:
     """Cheapest allocation over all vehicle counts 1..n, or with exactly ``m_prime`` vehicles.
@@ -221,10 +229,7 @@ def optimal_allocation(instance: Instance, m_prime: int | None = None,
     check_tolerance(rel)
     instance.require_single_dropoff("allocation")
     n = instance.n
-    if m_prime is not None:
-        _check_integer("vehicle guess m_prime", m_prime)
-        if not 1 <= m_prime <= n:
-            raise MalformedInputError(f"vehicle guess {m_prime} out of range 1..{n}")
+    _check_vehicle_count(m_prime, n)
     rows = instance.rows
     # L as the paper's flow network sets it: 3x the largest entry (margin over
     # the 2x it needs), or 1.0 for an all-zero table; the miles fold with it
@@ -257,8 +262,9 @@ def optimal_allocation(instance: Instance, m_prime: int | None = None,
         matching.augment(path)
 
 
-def brute_force_allocation(instance: Instance) -> Allocation:
-    """Exhaustive oracle over all partitions into increasing subsequences.
+def brute_force_allocation(instance: Instance, m_prime: int | None = None) -> Allocation:
+    """Exhaustive oracle over all partitions into increasing subsequences,
+    or over those into exactly ``m_prime`` of them.
 
     Any subset ridden in index order is increasing, so this is a sweep over
     set partitions. Ties prefer fewer vehicles, then the lexicographically
@@ -266,6 +272,7 @@ def brute_force_allocation(instance: Instance) -> Allocation:
     """
     instance.require_single_dropoff("allocation")
     n = instance.n
+    _check_vehicle_count(m_prime, n)
     if n > BRUTE_FORCE_CAP:
         raise SizeError(f"brute force capped at n={BRUTE_FORCE_CAP}, got {n}")
     rows = instance.rows
@@ -283,6 +290,8 @@ def brute_force_allocation(instance: Instance) -> Allocation:
     def rec(u: int) -> None:
         nonlocal best, best_key
         if u > n:
+            if m_prime is not None and len(blocks) != m_prime:
+                return
             cost = sum(block_cost(b) for b in blocks)
             shape = tuple(tuple(b) for b in blocks)
             key = (len(blocks), shape)

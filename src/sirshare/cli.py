@@ -325,7 +325,7 @@ def cmd_allocate(args) -> int:
     }
     status = EXIT_OK
     if args.oracle:
-        oracle = alloc_mod.brute_force_allocation(inst)
+        oracle = alloc_mod.brute_force_allocation(inst, m_prime=args.m_prime)
         match = abs(oracle.total_miles - allocation.total_miles) <= \
             1e-9 * max(1.0, abs(oracle.total_miles))
         payload["oracle"] = {
@@ -447,7 +447,7 @@ def _parser() -> _Parser:
     common(p)
     p.add_argument("--m-prime", type=int, help="fix the vehicle count")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force oracle and compare")
+                   help="also run the brute-force oracle, at the same vehicle count, and compare")
 
     p = sub.add_parser("generate", help="emit a generated instance as JSON")
     common(p, instance=False)

@@ -6,6 +6,11 @@ table is beta-fair when, at each boarding j, the newcomer keeps fraction
 1 - beta_j of that benefit and the rest is split among existing riders in
 proportion to their sensitivities. The closed forms below construct and
 verify such tables for single-dropoff routes.
+
+A route's stage detours come from ``single_dropoff_detours``, which
+validates the route; the newcomer's direct distance comes from the
+stage-cost ledger where a call holds one, else from ``Instance.direct``,
+so the table builders never pay for building the ledger.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .feasibility import (
     _balanced_costs,
     _balanced_trace,
     _require_feasible,
+    single_dropoff_detours,
     stage_costs,
 )
 from .instances import Instance, Route, _check_integer
@@ -95,16 +101,13 @@ def benefit_breakdown(instance: Instance, route: Route, table: CostShareTable,
     (no sensitivity in the ``zero`` regime).
     """
     instance.require_single_dropoff("benefit accounting")
-    _balanced_costs(instance, route, table, rel)
-    order = route.pickup_order
+    costs = _balanced_costs(instance, route, table, rel)
     aop = instance.alpha_op
     priced = instance._priced_alphas
-    detour = instance.detour
     shares = table.shares
     ibs, tibs = [], []
-    for j in range(2, instance.n + 1):
-        det = detour[order[j - 2]][order[j - 1]]
-        fare = aop * instance.direct_distance(order[j - 1])
+    for j, det in enumerate(single_dropoff_detours(instance, route), start=2):
+        fare = aop * costs.direct[j]
         before, after = shares[j - 2], shares[j - 1]
         row = [before[i] - after[i] - priced[i] * det for i in range(j - 1)]
         row.append(fare - after[j - 1])
@@ -128,22 +131,20 @@ def beta_fair_table(instance: Instance, route: Route,
     """
     instance.require_single_dropoff("fair-share construction")
     betas = _stage_betas(instance, betas)
-    n = instance.n
     _require_feasible(instance, route, rel)
-    order = route.pickup_order
     aop = instance.alpha_op
     alphas, priced = instance.alphas, instance._priced_alphas
-    detour = instance.detour
-    rows: list[list[float]] = [[aop * instance.direct_distance(order[0])]]
-    for j in range(2, n + 1):
+    direct = instance.direct
+    sd = [direct[p] for p in route.pickup_order]  # by boarding rank, from 0
+    rows: list[list[float]] = [[aop * sd[0]]]
+    for j, det in enumerate(single_dropoff_detours(instance, route), start=2):
         weight_sum = instance.alpha_prefix[j - 1]
         if weight_sum <= 0.0:
             raise DegenerateWeightsError(
                 f"existing riders carry zero total sensitivity at stage {j}"
             )
         b = betas.for_stage(j)
-        det = detour[order[j - 2]][order[j - 1]]
-        sd_j = instance.direct_distance(order[j - 1])
+        sd_j = sd[j - 1]
         operator_surplus = aop * sd_j - aop * det
         keep = 1.0 - b
         row = [
@@ -173,7 +174,7 @@ def xc_table(instance: Instance, route: Route,
     """
     check_tolerance(rel)
     instance.require_single_dropoff("segment-split table")
-    route.validate(instance)
+    det = [0.0, 0.0, *single_dropoff_detours(instance, route)]
     aop = instance.alpha_op
     for i, a in enumerate(instance._priced_alphas, start=1):
         if not approx_eq(a, aop, rel):
@@ -183,9 +184,8 @@ def xc_table(instance: Instance, route: Route,
             )
     order = route.pickup_order
     n = instance.n
-    rows, detour = instance.rows, instance.detour
-    det = [0.0, 0.0] + [detour[a][b] for a, b in zip(order, order[1:])]
-    sd = [0.0] + [instance.direct_distance(p) for p in order]
+    rows, direct = instance.rows, instance.direct
+    sd = [0.0] + [direct[p] for p in order]
     paid_to_earlier = [(i - 1) * det[i] for i in range(n + 1)]
 
     # segments[i] = seg(i+1)/i + ... + seg(j)/(j-1) and received[i] = det(i+1)
@@ -217,12 +217,13 @@ def verify_fairness_ratios(instance: Instance, route: Route, table: CostShareTab
     instance.require_single_dropoff("fairness verification")
     betas = _stage_betas(instance, betas)
     breakdown = benefit_breakdown(instance, route, table, rel=rel)
+    direct = stage_costs(instance, route).direct  # the ledger the breakdown balanced
     residuals = []
     ok = True
     least = comparison_tolerance(1.0, rel)  # no cell's slack is smaller: every scale is >= 1
     for j in range(2, instance.n + 1):
         tib = breakdown.tib_value(j)
-        fare_scale = instance.alpha_op * instance.direct_distance(route.pickup_order[j - 1])
+        fare_scale = instance.alpha_op * direct[j]
         if abs(tib) <= comparison_tolerance(fare_scale, rel):
             raise IndeterminateRatioError(
                 f"total incremental benefit is zero at stage {j}; ratios undefined"

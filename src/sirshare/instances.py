@@ -71,12 +71,38 @@ class MetricReport:
         return [v for v in self.violations if v.kind == kind]
 
 
+_KIND_NAMES = {"U": "str", "S": "bytes", "b": "bool"}
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, once its entries are real numbers.
+
+    An array of strings, bytes or booleans is refused by its dtype, with no
+    pass over the entries; only an object array (say, one holding an int
+    beyond int64 or a None) has its entries inspected. A bool among numbers
+    is promoted by numpy without trace, so it goes unseen here. Raises
+    MalformedInputError naming ``what``; OverflowError (an int beyond float
+    range) and numpy's ValueError for ragged input reach the caller.
+    """
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "O":
+        for entry in arr.flat:
+            if not _is_real(entry):
+                raise MalformedInputError(
+                    f"{what} must be real numbers, not {type(entry).__name__}")
+    elif kind not in "fiu":
+        raise MalformedInputError(
+            f"{what} must be real numbers, not {_KIND_NAMES.get(kind, arr.dtype.name)}")
+    return arr.astype(float, copy=False)
+
+
 def _as_square_matrix(entries) -> np.ndarray:
     """The table check: outside input as a square, finite float array whose
     largest magnitude times m**2 is finite, so no sum the package forms from
-    it overflows."""
+    it overflows. Strings, bytes and booleans are refused (``_real_array``)."""
     try:
-        arr = np.asarray(entries, dtype=float)
+        arr = _real_array(entries, "distance table entries")
     except OverflowError as exc:  # an int beyond float range
         raise MalformedInputError(f"distance table entry beyond float range: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -235,11 +261,16 @@ class DistanceTable:
 def from_euclidean(coords: Sequence) -> DistanceTable:
     """Distance table of pairwise Euclidean distances.
 
-    Accepts scalars (line metric) or same-dimension coordinate vectors.
+    Accepts scalars (line metric) or same-dimension coordinate vectors of
+    real numbers: strings, bytes and booleans are refused, a boolean point
+    too, though numpy would promote it among numeric ones (``_real_array``).
     Non-finite coordinates and overflowing distances fail the table check.
     """
     try:
-        pts = np.array([np.atleast_1d(c) for c in coords], dtype=float)
+        points = [np.atleast_1d(c) for c in coords]
+        if any(p.dtype.kind == "b" for p in points):
+            raise MalformedInputError("coordinates must be real numbers, not bool")
+        pts = _real_array(points, "coordinates")
     except OverflowError as exc:  # an int beyond float range
         raise MalformedInputError(f"coordinate beyond float range: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -614,7 +645,7 @@ class Route:
         the order-only check at C speed; every other shape takes the walk,
         which alone names a defect."""
         events = vars(self).get("events")
-        if type(events) is tuple:  # one pass over a generator would leave none for the walk
+        if type(events) is tuple:  # not for an order-only route, nor for events not iterable
             try:
                 kinds, labels = zip(*events, strict=True)
             except (TypeError, ValueError):  # no events, or one that is not a pair
@@ -890,7 +921,7 @@ def reduce_path_tsp(metric, margin: float = 0.01) -> Instance:
     """
     if not isinstance(metric, DistanceTable):
         metric = DistanceTable.from_matrix(metric)
-    if not metric.metric_flag:
+    if not (metric.metric_flag and metric.metric_report().ok):  # a declared flag is only a claim
         raise MalformedInputError("input table must be metric")
     entries = metric.entries
     n = entries.shape[0]

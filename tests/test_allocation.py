@@ -265,6 +265,23 @@ def test_fixed_count_rejects_bad_count():
     for m_prime in (0, 4):
         with pytest.raises(MalformedInputError, match="out of range 1..3"):
             ss.optimal_allocation(inst, m_prime=m_prime)
+        with pytest.raises(MalformedInputError, match="out of range 1..3"):
+            ss.brute_force_allocation(inst, m_prime=m_prime)
+    with pytest.raises(MalformedInputError, match="m_prime must be an integer"):
+        ss.brute_force_allocation(inst, m_prime=2.0)
+
+
+def test_brute_force_fixed_count_matches_flow():
+    rng = np.random.default_rng(53)
+    instances = [random_euclidean_instance(rng, n) for n in range(1, 8)]
+    for inst in instances + [ss.line_instance([3.0, 2.0, 1.0], 0.0)]:
+        for m_prime in range(1, inst.n + 1):
+            oracle = ss.brute_force_allocation(inst, m_prime=m_prime)
+            fast = ss.optimal_allocation(inst, m_prime=m_prime)
+            assert oracle.m_prime == m_prime
+            assert oracle.total_miles == pytest.approx(fast.total_miles, rel=1e-9)
+            assert oracle.total_miles == pytest.approx(best_with_count(inst, m_prime), rel=1e-12)
+        assert ss.brute_force_allocation(inst) == ss.brute_force_allocation(inst, m_prime=None)
 
 
 @pytest.mark.parametrize("m_prime", [True, 2.5, "2", 2.0], ids=["bool", "float", "str", "whole-float"])

@@ -217,6 +217,21 @@ def test_allocate_oracle_match(tmp_path, capsys):
     assert payload["total_miles"] == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("m_prime", ["1", "2", "3"])
+def test_allocate_oracle_compares_at_the_fixed_vehicle_count(m_prime, tmp_path, capsys):
+    # the best allocation uses one vehicle (3 miles); two cost 4 and three cost 6
+    path = tmp_path / "alloc.json"
+    ss.line_instance([3.0, 2.0, 1.0], 0.0).save(path)
+    code, out, _ = run_cli(capsys, "allocate", str(path), "--json", "--oracle",
+                           "--m-prime", m_prime)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["match"] is True
+    assert payload["m_prime"] == len(payload["oracle"]["vehicles"]) == int(m_prime)
+    assert payload["total_miles"] == payload["oracle"]["total_miles"] == \
+        {"1": 3.0, "2": 4.0, "3": 6.0}[m_prime]
+
+
 def test_starvation_min_route(tmp_path, capsys):
     path = tmp_path / "sqrt.json"
     ss.generate_sqrt_tight_instance(4).save(path)
@@ -408,8 +423,14 @@ def test_extreme_inputs_exit_one_with_error(argv, tmp_path, capsys):
     ("coords", [1e200, -1e200, 0.0]),
     ("distance_matrix", [[0, 1, 10**400], [1, 0, 1], [10**400, 1, 0]]),
     ("coords", [10**400, 0, 1]),
+    ("distance_matrix", [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]),
+    ("distance_matrix", [[False, True, True], [True, False, True], [True, True, False]]),
+    ("coords", ["0", "2", "5"]),
+    ("coords", [True, 2, 5]),
 ], ids=["ragged-matrix", "text-in-matrix", "ragged-coords", "text-in-coords",
-        "overflowing-coords", "huge-int-in-matrix", "huge-int-in-coords"])
+        "overflowing-coords", "huge-int-in-matrix", "huge-int-in-coords",
+        "number-strings-in-matrix", "booleans-in-matrix", "number-strings-in-coords",
+        "boolean-in-coords"])
 def test_validate_rejects_malformed_table(field, value, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "dropoff_mode": "single", field: value,

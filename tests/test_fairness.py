@@ -270,6 +270,14 @@ def test_xc_rejects_unequal_rates():
         ss.xc_table(inst, ROUTE2)
 
 
+def test_xc_names_a_bad_route_before_unequal_rates():
+    mat = np.array([[0.0, 5.0, 10.0], [5.0, 0.0, 6.0], [10.0, 6.0, 0.0]])
+    inst = ss.Instance(dist=ss.DistanceTable.from_matrix(mat), n=2,
+                       dropoff_mode="single", alpha_op=1.0, alphas=(2.0, 1.0))
+    with pytest.raises(MalformedInputError, match="exactly once"):
+        ss.xc_table(inst, ss.Route.single_dropoff([1, 2, 3]))
+
+
 def test_xc_rejects_the_zero_regime_whatever_the_stored_sensitivities():
     # the zero regime prices no detour, so rates equal to alpha_op are not the rates priced
     inst = n2_instance()
@@ -360,6 +368,23 @@ def test_verify_ratios_strict_tolerance_rejects_only_exact_zero_benefit():
     assert isinstance(ok, bool) and len(residuals) == 1 and len(residuals[0]) == 2
     with pytest.raises(IndeterminateRatioError):
         ss.verify_fairness_ratios(zero, route, zero_table, [0.5], rel=0.0)
+
+
+@pytest.mark.parametrize("gap, indeterminate", [(1e-7, False), (1e-11, True)])
+def test_verify_ratios_judges_zero_benefit_at_the_newcomers_fare(gap, indeterminate):
+    # rider 1's fare is 1000 and the newcomer's is 1; the stage's total benefit,
+    # 1 - 2 * detour, is about ``gap``: zero only at the newcomer's scale
+    detour = (1.0 - gap) / 2
+    mat = [[0.0, 999.0 + detour, 1000.0], [999.0 + detour, 0.0, 1.0], [1000.0, 1.0, 0.0]]
+    inst = ss.Instance(dist=ss.DistanceTable.from_matrix(mat), n=2,
+                       dropoff_mode="single", alpha_op=1.0, alphas=(1.0, 1.0))
+    table = ss.witness_scheme(inst, ROUTE2)
+    assert ss.benefit_breakdown(inst, ROUTE2, table).tib[0] == pytest.approx(gap, rel=1e-3)
+    if indeterminate:
+        with pytest.raises(IndeterminateRatioError):
+            ss.verify_fairness_ratios(inst, ROUTE2, table, [0.0])
+    else:
+        assert ss.verify_fairness_ratios(inst, ROUTE2, table, [0.0])[0]
 
 
 def test_beta_table_still_defined_on_tight_stage():

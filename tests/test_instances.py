@@ -113,6 +113,52 @@ def test_table_entries_beyond_float_range_are_named(load):
         "distance table entry beyond float range: int too large to convert to float"
 
 
+def _from_dict(field):
+    def load(value):
+        return ss.Instance.from_dict({"n": 2, "dropoff_mode": "single", "alpha_op": 1.0,
+                                      "alphas": [1.0, 1.0], "regime": "finite", field: value})
+    return load
+
+
+@pytest.mark.parametrize("load, value, kind", [
+    (ss.DistanceTable.from_matrix, [["0", "1"], ["1", "0"]], "str"),
+    (ss.DistanceTable.from_matrix, [[0.0, "1"], [1.0, 0.0]], "str"),
+    (ss.DistanceTable.from_matrix, [[b"0", b"1"], [b"1", b"0"]], "bytes"),
+    (ss.DistanceTable.from_matrix, [[False, True], [True, False]], "bool"),
+    (ss.DistanceTable.from_matrix, np.array([[False, True], [True, False]]), "bool"),
+    (ss.DistanceTable.from_matrix, [[0, None], [1, 0]], "NoneType"),
+    (ss.DistanceTable.from_matrix, [[0, 10 ** 400], ["1", 0]], "str"),
+    (ss.from_euclidean, ["0", "3", "5"], "str"),
+    (ss.from_euclidean, [True, 3, 5], "bool"),
+    (ss.from_euclidean, [[0, 0], [True, False]], "bool"),
+    (ss.from_euclidean, [[0, 0], [None, 1]], "NoneType"),
+    (_from_dict("distance_matrix"), [["0", "2", "3"], ["2", "0", "1"], ["3", "1", "0"]], "str"),
+    (_from_dict("distance_matrix"), [[False, True, True], [True, False, True],
+                                     [True, True, False]], "bool"),
+    (_from_dict("coords"), ["0", "2", "5"], "str"),
+    (_from_dict("coords"), [True, 2, 5], "bool"),
+], ids=["matrix-str", "matrix-str-among-floats", "matrix-bytes", "matrix-bool",
+        "matrix-numpy-bool", "matrix-none", "matrix-str-beside-huge-int", "coords-str",
+        "coords-bool", "coords-bool-point", "coords-none", "json-matrix-str", "json-matrix-bool",
+        "json-coords-str", "json-coords-bool"])
+def test_tables_and_coordinates_refuse_strings_bytes_and_booleans(load, value, kind):
+    with pytest.raises(MalformedInputError, match=f"must be real numbers, not {kind}$"):
+        load(value)
+
+
+def test_tables_and_coordinates_take_any_real_number_type():
+    ints = ss.DistanceTable.from_matrix([[0, 1], [1, 0]])
+    assert ints.entries.dtype == np.float64
+    assert ints.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    wide = ss.DistanceTable.from_matrix(np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64))
+    assert wide.entries[0, 1] == 2.0 ** 63
+    # a Python int beyond int64 makes an object array, whose entries are inspected
+    big = ss.DistanceTable.from_matrix([[0, 2**70], [2**70, 0]])
+    assert big.entries[0, 1] == 2.0 ** 70
+    line = ss.from_euclidean([np.float32(1.5), np.int64(4), 2**70])
+    assert line.entries[0, 1] == 2.5
+
+
 @pytest.mark.parametrize("build", [
     lambda: ss.line_instance([1e200, -1e200], 0.0),  # distances overflow to inf
     lambda: ss.reduce_path_tsp([[0, 1], [1, 0]], margin=1e308),  # 2 * 1 * (1 + 1e308) is inf
@@ -606,6 +652,16 @@ def test_path_tsp_degenerate_zero_metric():
 def test_path_tsp_requires_metric_input():
     with pytest.raises(MalformedInputError):
         ss.reduce_path_tsp([[0, 1, 10], [1, 0, 1], [10, 1, 0]])
+
+
+def test_path_tsp_checks_a_declared_metric_flag():
+    # 0 -> 2 costs 5 directly but 2 through 1: the flag is a false claim
+    claimed = ss.DistanceTable.from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]], metric_flag=True)
+    assert claimed.metric_flag and not ss.validate_metric(claimed).ok
+    with pytest.raises(MalformedInputError, match="input table must be metric"):
+        ss.reduce_path_tsp(claimed)
+    honest = ss.DistanceTable.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]], metric_flag=True)
+    assert ss.reduce_path_tsp(honest).dist.metric_flag
 
 
 # ---------------------------------------------------------------------------

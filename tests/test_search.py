@@ -671,6 +671,27 @@ def test_line_verdict_rejects_bad_positions(positions, dropoff):
         ss.line_metric_verdict(positions, dropoff)
 
 
+@pytest.mark.parametrize("positions, dropoff", [
+    (["3", "5"], "0"),
+    ([3.0, 5.0], "0"),
+    ([True, 2.0], 0),
+    ([1.0, 2.0], False),
+    ([1.0, np.bool_(True)], 0.0),
+    ([1.0, b"2"], 0.0),
+], ids=["strings", "string-dropoff", "bool", "bool-dropoff", "numpy-bool", "bytes"])
+def test_line_verdict_refuses_positions_that_are_not_real_numbers(positions, dropoff):
+    with pytest.raises(MalformedInputError, match="^line positions must be real numbers$"):
+        ss.line_metric_verdict(positions, dropoff)
+    with pytest.raises(MalformedInputError, match="^line positions must be real numbers$"):
+        ss.line_instance(positions, dropoff)
+
+
+def test_line_verdict_names_an_int_beyond_float_range():
+    with pytest.raises(MalformedInputError, match="must be finite"):
+        ss.line_metric_verdict([10 ** 400, 1.0], 0.0)
+    assert ss.line_metric_verdict([np.int64(3), 5], np.float32(0.0)).pickup_order == (2, 1)
+
+
 def test_line_verdict_agrees_with_enumeration_small():
     rng = np.random.default_rng(10)
     for k in range(60):
