@@ -751,6 +751,62 @@ def _check_positive(name: str, value: float) -> None:
         raise MalformedInputError(f"{name} must be finite, got an integer beyond float range") from None
 
 
+def _on_grid(target: float, ell: float) -> float:
+    """The largest s at or below ``target`` (0 < target <= ell) with
+    ``(s + ell) - ell == s``: a pickup separation s beside pickups ``ell``
+    from the dropoff makes a detour that folds back to s exactly."""
+    s = (target + ell) - ell  # exact: the sum lies within a factor 2 of ell
+    if s > target:  # the sum rounded up: take the float below it instead
+        s = math.nextafter(target + ell, 0.0) - ell
+    return s
+
+
+def _star(sep: np.ndarray, ell: float, alpha_op: float = 1.0,
+          alphas: Sequence[float] | None = None, metric_flag: bool | None = None) -> Instance:
+    """The star of the paper's constructions: n pickups ``sep`` apart (an
+    n x n array with zero diagonal), each ``ell`` from the one dropoff, with
+    every sensitivity equal to the operator rate unless ``alphas`` is given.
+    ``metric_flag`` is taken as ``DistanceTable.from_matrix`` takes it."""
+    n = len(sep)
+    mat = np.full((n + 1, n + 1), float(ell))
+    mat[:n, :n] = sep
+    mat[n, n] = 0.0
+    return Instance(dist=DistanceTable.from_matrix(mat, metric_flag), n=n, dropoff_mode=SINGLE,
+                    alpha_op=alpha_op, alphas=(alpha_op,) * n if alphas is None else alphas,
+                    regime=REGIME_FINITE)
+
+
+def _line_coords(positions: Sequence[float], dropoff: float) -> list[float]:
+    """The line-input check: the pickup positions, then the dropoff, as
+    finite floats; MalformedInputError for anything else, or for no pickup."""
+    try:
+        coords = [*positions, dropoff]
+    except TypeError as exc:
+        raise MalformedInputError(f"line positions must be numbers: {exc}") from None
+    if not all(map(_is_real, coords)):
+        raise MalformedInputError("line positions must be real numbers")
+    if len(coords) < 2:
+        raise MalformedInputError("need at least one pickup position")
+    try:
+        floats = [float(x) for x in coords]
+    except OverflowError:  # an int beyond float range
+        raise MalformedInputError("line positions must be finite") from None
+    if not all(map(math.isfinite, floats)):
+        raise MalformedInputError("line positions must be finite")
+    return floats
+
+
+def _line(positions: Sequence[float], dropoff: float, alpha_op: float = 1.0,
+          weight: float | None = None, regime: str = REGIME_FINITE) -> Instance:
+    """Single-dropoff instance on the line whose riders all weigh detours at
+    ``weight`` (the operator rate unless given), once ``_line_coords`` passes
+    the points."""
+    coords = _line_coords(positions, dropoff)
+    n = len(coords) - 1
+    return Instance(dist=from_euclidean(coords), n=n, dropoff_mode=SINGLE, alpha_op=alpha_op,
+                    alphas=(alpha_op if weight is None else weight,) * n, regime=regime)
+
+
 def generate_lower_bound_instance(
     n: int,
     alpha_op: float = 1.0,
@@ -790,32 +846,25 @@ def generate_lower_bound_instance(
     # Triangle constraint for pickups a, a+1, a+2 binds the slack factor:
     # the separation of the non-adjacent pair may exceed z[a+1]*ell by at
     # most z[a+2]*ell.
-    s_eff = slack
-    for a in range(1, n - 1):
-        s_eff = min(s_eff, z[a + 2] / z[a + 1])
+    s_eff = min([slack, *(z[a + 2] / z[a + 1] for a in range(1, n - 1))])
     if not (s_eff > 0):
         raise ConstructionError(
             f"slack clamped to {s_eff}; cannot keep non-adjacent pairs strictly separated"
         )
 
-    size = n + 1
-    mat = np.zeros((size, size), dtype=float)
-    for a in range(1, n + 1):
-        mat[a - 1, n] = mat[n, a - 1] = ell
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            dab = z[a + 1] * ell if b == a + 1 else z[a + 1] * ell * (1.0 + s_eff)
-            mat[a - 1, b - 1] = mat[b - 1, a - 1] = dab
+    sep = np.zeros((n, n))
+    for a in range(1, n):  # a and a+1 are z[a+1]*ell apart, a and any later pickup farther
+        near = z[a + 1] * ell
+        sep[a - 1, a:] = sep[a:, a - 1] = near * (1.0 + s_eff)
+        sep[a - 1, a] = sep[a, a - 1] = near
 
-    table = DistanceTable(entries=mat, metric_flag=True)
-    report = validate_metric(table)
-    if not report.ok:
-        first = report.by_kind("triangle")[0]
+    inst = _star(sep, ell, alpha_op, alphas)
+    if not inst.dist.metric_flag:
+        first = inst.dist.metric_report().by_kind("triangle")[0]
         raise ConstructionError(
             f"constructed table violates the triangle inequality at points {first.indices}"
         )
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=alpha_op,
-                    alphas=alphas, regime=REGIME_FINITE)
+    return inst
 
 
 def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
@@ -833,9 +882,7 @@ def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
     positions = [float(ell)]
     for j in range(2, n + 1):
         positions.append(positions[-1] * (2 * j) / (2 * j - 1))
-    table = from_euclidean(positions + [0.0])
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
-                    alphas=(1.0,) * n, regime=REGIME_FINITE)
+    return _line(positions, 0.0)
 
 
 def generate_exp_tight_instance(n: int, ell: float = 1.0) -> Instance:
@@ -858,9 +905,7 @@ def generate_exp_tight_instance(n: int, ell: float = 1.0) -> Instance:
         raise ConstructionError(
             f"pickup {n} at 2**{n - 1} * ell is too far: its squared distance is beyond float range"
         )
-    table = from_euclidean(positions + [0.0])
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
-                    alphas=(0.0,) * n, regime=REGIME_ZERO)
+    return _line(positions, 0.0, weight=0.0, regime=REGIME_ZERO)
 
 
 def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
@@ -894,20 +939,14 @@ def reduce_hampath(n_vertices: int, edges: Iterable[tuple[int, int]],
         edge_set.add(frozenset((u, v)))
 
     n = n_vertices
-    size = n + 1
     ell = float(ell)
-    edge = (ell / n + ell) - ell  # exact: the sum lies within a factor 2 of ell
-    if edge > ell / n:  # the sum rounded up: take the float below it instead
-        edge = math.nextafter(ell / n + ell, 0.0) - ell
-    mat = np.full((size, size), ell)
-    np.fill_diagonal(mat, 0.0)
+    edge = _on_grid(ell / n, ell)
+    sep = np.full((n, n), ell)
+    np.fill_diagonal(sep, 0.0)
     for pair in edge_set:
         u, v = tuple(pair)
-        mat[u - 1, v - 1] = mat[v - 1, u - 1] = edge
-
-    table = DistanceTable.from_matrix(mat)
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
-                    alphas=(1.0,) * n, regime=REGIME_FINITE)
+        sep[u - 1, v - 1] = sep[v - 1, u - 1] = edge
+    return _star(sep, ell)
 
 
 def reduce_path_tsp(metric, margin: float = 0.01) -> Instance:
@@ -932,23 +971,10 @@ def reduce_path_tsp(metric, margin: float = 0.01) -> Instance:
     if maxdist <= 0:
         raise ConstructionError("degenerate all-zero metric")
     big_l = n * maxdist * (1.0 + margin)
-
-    size = n + 1
-    mat = np.zeros((size, size), dtype=float)
-    mat[:n, :n] = entries
-    mat[:n, n] = big_l
-    mat[n, :n] = big_l
-    table = DistanceTable(entries=mat, metric_flag=True)
-    return Instance(dist=table, n=n, dropoff_mode=SINGLE, alpha_op=1.0,
-                    alphas=(1.0,) * n, regime=REGIME_FINITE)
+    return _star(entries, big_l, metric_flag=True)
 
 
 def line_instance(positions: Sequence[float], dropoff: float,
                   alpha_op: float = 1.0) -> Instance:
     """Single-dropoff instance on the line with all rates equal."""
-    coords = [*positions, dropoff]
-    if not all(map(_is_real, coords)):
-        raise MalformedInputError("line positions must be real numbers")
-    n = len(coords) - 1
-    return Instance(dist=from_euclidean(coords), n=n, dropoff_mode=SINGLE, alpha_op=alpha_op,
-                    alphas=(alpha_op,) * n, regime=REGIME_FINITE)
+    return _line(positions, dropoff, alpha_op)

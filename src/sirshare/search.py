@@ -38,7 +38,6 @@ ties towards the lexicographically smallest pickup sequence.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
 import sys
@@ -48,7 +47,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedInputError, SizeError
-from .instances import Instance, Route, _check_integer, _is_real
+from .instances import Instance, Route, _check_integer, _line_coords
 from .numeric import DEFAULT_REL_TOL, check_tolerance, rounding_slack
 
 DEFAULT_CAP = 10
@@ -465,21 +464,7 @@ def line_metric_verdict(positions: Sequence[float], dropoff: float):
 
     Returns the sweep Route, or None when infeasible.
     """
-    try:
-        coords = [*positions, dropoff]
-    except TypeError as exc:
-        raise MalformedInputError(f"line positions must be numbers: {exc}") from None
-    if not all(map(_is_real, coords)):
-        raise MalformedInputError("line positions must be real numbers")
-    if len(coords) < 2:
-        raise MalformedInputError("need at least one pickup position")
-    try:
-        floats = [float(x) for x in coords]
-    except OverflowError:  # an int beyond float range
-        raise MalformedInputError("line positions must be finite") from None
-    if not all(map(math.isfinite, floats)):
-        raise MalformedInputError("line positions must be finite")
-    *positions, d = floats
+    *positions, d = _line_coords(positions, dropoff)
     lo, hi = min(positions), max(positions)
     if lo < d < hi:
         return None
