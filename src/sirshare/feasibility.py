@@ -42,6 +42,13 @@ from .numeric import (DEFAULT_REL_TOL, approx_leq, check_tolerance, comparison_t
                       rounding_slack)
 
 
+def _check_route(route) -> None:
+    """Raise MalformedInputError unless ``route`` is a Route: each path that
+    takes a route calls this where it first touches it."""
+    if not isinstance(route, Route):
+        raise MalformedInputError(f"a route must be a Route, not {type(route).__name__}")
+
+
 def conditional_route(route: Route, j: int) -> Route:
     """The route as it stands once rider j has boarded and no one else will.
 
@@ -49,6 +56,7 @@ def conditional_route(route: Route, j: int) -> Route:
     relative order of what remains. For single-dropoff routes this is the
     first j pickups followed by the shared dropoff.
     """
+    _check_route(route)
     _check_integer("stage j", j)
     n = route.n
     if not 1 <= j <= n:
@@ -122,6 +130,7 @@ def stage_costs(instance: Instance, route: Route) -> StageCosts:
     pair reads the very same object. A route used with another instance
     gets that instance's costs, and keeps them in turn.
     """
+    _check_route(route)
     route.validate(instance)
     kept = vars(route).get("_ledger")
     if kept is not None and kept[0] is instance:
@@ -238,7 +247,11 @@ class DisutilityTrace:
 
 
 def _rows_for(table: CostShareTable, n: int) -> tuple[tuple[float, ...], ...]:
-    """A checker's one test of a built (so checked) table: its rows, once there is one per rider."""
+    """A checker's one test of a built (so checked) table: its rows, once it
+    is a CostShareTable with one row per rider."""
+    if not isinstance(table, CostShareTable):
+        raise MalformedInputError(
+            f"a share table must be a CostShareTable, not {type(table).__name__}")
     if table.n != n:
         raise MalformedInputError(
             f"a share table for {n} riders needs {n} rows, row j holding j shares")
@@ -402,6 +415,7 @@ def single_dropoff_detours(instance: Instance, route: Route) -> tuple[float, ...
     """Extra distance each boarding adds for everyone aboard, stages 2..n;
     validates the route first."""
     instance.require_single_dropoff("the detour sequence")
+    _check_route(route)
     route.validate(instance)
     order = route.pickup_order
     detour = instance.detour
@@ -430,6 +444,7 @@ def sir_feasible(instance: Instance, route: Route,
     walks the stages again. Each call returns a fresh result.
     """
     check_tolerance(rel)
+    _check_route(route)
     kept = vars(route).get("_verdict")
     if kept is None or kept[0] is not instance or kept[1] != rel:
         kept = (instance, rel, *_stage_check(instance, route, rel))

@@ -817,10 +817,14 @@ def generate_lower_bound_instance(
     """Instance whose only feasible route has the worst-case detour ratio.
 
     All pickups sit at distance ``ell`` from the dropoff. Consecutive pickups
-    j-1 and j are exactly the stage-j detour budget apart, so the route
-    (1, 2, ..., n, D) is feasible with every constraint tight; every other
-    pair is strictly farther apart (by a slack factor, clamped so the table
-    stays metric), which rules out every other boarding order for n >= 3.
+    j-1 and j are the stage-j detour budget apart: ``ell / denom`` as
+    ``Instance.budget`` computes it, taken down to ell's float grid
+    (``_on_grid``) so the detour equals the separation exactly. So the route
+    (1, 2, ..., n, D) is feasible with every constraint tight, at any
+    tolerance down to ``rel = 0``. Every other pair is strictly farther apart
+    (by a slack factor, clamped so the table stays metric; a pair two apart
+    at most the float sum of the two separations between them), which rules
+    out every other boarding order for n >= 3.
     At n=2 with equal weights no metric can force the order: the table is
     symmetric in the two pickups, so (1, 2) and (2, 1) mirror each other
     and both are feasible with every stage tight.
@@ -840,8 +844,10 @@ def generate_lower_bound_instance(
             "lower-bound construction requires strictly positive sensitivities"
         )
 
+    ell = float(ell)
+    denoms = _stage_denominators(alpha_op, _prefix_sums(alphas))
     # z[j] is the stage-j detour budget as a fraction of the direct distance.
-    z = [0.0] + [1.0 / denom for denom in _stage_denominators(alpha_op, _prefix_sums(alphas))]
+    z = [0.0] + [1.0 / denom for denom in denoms]
 
     # Triangle constraint for pickups a, a+1, a+2 binds the slack factor:
     # the separation of the non-adjacent pair may exceed z[a+1]*ell by at
@@ -853,10 +859,11 @@ def generate_lower_bound_instance(
         )
 
     sep = np.zeros((n, n))
-    for a in range(1, n):  # a and a+1 are z[a+1]*ell apart, a and any later pickup farther
-        near = z[a + 1] * ell
-        sep[a - 1, a:] = sep[a:, a - 1] = near * (1.0 + s_eff)
-        sep[a - 1, a] = sep[a, a - 1] = near
+    for a in range(1, n):  # a and a+1 are stage a+1's budget apart, a and any later pickup farther
+        sep[a - 1, a:] = sep[a:, a - 1] = z[a + 1] * ell * (1.0 + s_eff)
+        sep[a - 1, a] = sep[a, a - 1] = _on_grid(ell / denoms[a], ell)
+    for a in range(1, n - 1):  # the triangle (a, a+1, a+2) holds in floats too
+        sep[a - 1, a + 1] = sep[a + 1, a - 1] = min(sep[a - 1, a + 1], sep[a - 1, a] + sep[a, a + 1])
 
     inst = _star(sep, ell, alpha_op, alphas)
     if not inst.dist.metric_flag:
@@ -873,7 +880,10 @@ def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
     Dropoff at the origin, pickups on one ray with the j-th at
     (2j/(2j-1)) times the previous distance; sensitivities equal the
     operator rate, so the stage-j detour budget is exactly met along
-    (1, 2, ..., n, D). The descending route has zero detour throughout.
+    (1, 2, ..., n, D). In floats each position is the largest at or below
+    that product whose stage-j detour, folded as ``Instance.detour`` folds
+    it, is at most its budget x/j, so the route stays feasible at
+    ``rel = 0``. The descending route has zero detour throughout.
     """
     _check_integer("rider count n", n)
     if n < 1:
@@ -881,7 +891,11 @@ def generate_sqrt_tight_instance(n: int, ell: float = 1.0) -> Instance:
     _check_positive("ell", ell)
     positions = [float(ell)]
     for j in range(2, n + 1):
-        positions.append(positions[-1] * (2 * j) / (2 * j - 1))
+        prev = positions[-1]
+        x = prev * (2 * j) / (2 * j - 1)
+        while ((x - prev) + x) - prev > x / j:
+            x = math.nextafter(x, 0.0)
+        positions.append(x)
     return _line(positions, 0.0)
 
 

@@ -10,7 +10,7 @@ exponential; the line metric with equal rates is the polynomial special case.
 
 - ``opt_sir_route`` runs the recursion of Bellman (1962) and Held & Karp
   (1962) over (set of boarded pickups, last pickup) in three steps. Two
-  float64 value passes over the popcount layers of a (2**n, n) table give
+  float64 value passes over the popcount layers of an (n, 2**n) table give
   each state its least prefix distance (forward) and its least suffix
   distance (backward). A state survives when the two add up to within
   ``_rounding_slack`` of the optimum; every state of every optimal order

@@ -97,7 +97,7 @@ def test_stage_verdicts_equal_approx_leq_per_cell(rel):
     for n in range(1, 9):
         base = random_euclidean_instance(rng, n, alpha_low=0.2)
         corpus += [base, with_regime(base, "zero"), with_regime(base, "infinite"),
-                   ss.generate_lower_bound_instance(n),  # stages exactly on budget
+                   ss.generate_lower_bound_instance(n),  # stages on budget, at rel=0 too
                    ss.generate_sqrt_tight_instance(n),
                    ss.generate_exp_tight_instance(n),  # vanishing weights
                    # collinear stops leave detours of a few ulps, which only the floor admits

@@ -885,6 +885,63 @@ def test_table_checkers_reject_a_malformed_share_table(check, case):
         check(inst, route, ss.CostShareTable(shares=shares))
 
 
+def three_riders():
+    """Three riders east of the dropoff: the identity route is feasible and
+    every boarding adds a positive detour, so each entry point below has a value."""
+    dist = ss.from_euclidean([(10, 0), (9, 1), (8, 0), (0, 0)])
+    return ss.Instance(dist=dist, n=3, dropoff_mode="single", alpha_op=1.0, alphas=(1.0,) * 3)
+
+
+# every public entry point that takes a route or a share table: (call, takes a route, takes a table)
+ROUTE_AND_TABLE_TAKERS = {
+    "sir_feasible": (lambda inst, route, table: ss.sir_feasible(inst, route), True, False),
+    "stage_costs": (lambda inst, route, table: ss.stage_costs(inst, route), True, False),
+    "witness_scheme": (lambda inst, route, table: ss.witness_scheme(inst, route), True, False),
+    "starvation_report": (lambda inst, route, table: ss.starvation_report(inst, route), True, False),
+    "single_dropoff_detours": (lambda inst, route, table: ss.single_dropoff_detours(inst, route),
+                               True, False),
+    "conditional_route": (lambda inst, route, table: ss.conditional_route(route, 2), True, False),
+    "beta_fair_table": (lambda inst, route, table: ss.beta_fair_table(inst, route, [0.5, 0.5]),
+                        True, False),
+    "xc_table": (lambda inst, route, table: ss.xc_table(inst, route), True, False),
+    "neutral_beta": (lambda inst, route, table: ss.neutral_beta(inst, route, 3), True, False),
+    "is_sir": (ss.is_sir, True, True),
+    "is_ir": (ss.is_ir, True, True),
+    "disutility_trace": (ss.disutility_trace, True, True),
+    "reverse_meter": (ss.reverse_meter, True, True),
+    "benefit_breakdown": (ss.benefit_breakdown, True, True),
+    "verify_fairness_ratios": (lambda inst, route, table: ss.verify_fairness_ratios(
+        inst, route, table, [0.5, 0.5]), True, True),
+    "budget_balance_residuals": (lambda inst, route, table: ss.budget_balance_residuals(
+        table, ss.stage_costs(inst, route)), False, True),
+}
+ILL_TYPED_ROUTES = {"tuple": (1, 2, 3), "list": [1, 2, 3], "str": "1,2,3", "none": None}
+ILL_TYPED_TABLES = {"list-of-rows": ss.CostShareTable.to_rows,
+                    "tuple-of-rows": lambda table: table.shares, "none": lambda table: None}
+
+
+def _ill_typed_cases():
+    for name, (_, takes_route, takes_table) in ROUTE_AND_TABLE_TAKERS.items():
+        for kind, bad in (("route", ILL_TYPED_ROUTES), ("table", ILL_TYPED_TABLES)):
+            if takes_route if kind == "route" else takes_table:
+                yield from (pytest.param(name, kind, case, id=f"{name}-{kind}-{case}") for case in bad)
+
+
+@pytest.mark.parametrize("name, kind, case", list(_ill_typed_cases()))
+def test_entry_points_refuse_an_ill_typed_route_or_table(name, kind, case):
+    call = ROUTE_AND_TABLE_TAKERS[name][0]
+    inst = three_riders()
+    route = ss.Route.single_dropoff((1, 2, 3))
+    table = ss.witness_scheme(inst, route)
+    call(inst, route, table)  # well-typed arguments have a value
+    if kind == "route":
+        route, match = ILL_TYPED_ROUTES[case], "a route must be a Route"
+    else:
+        table, match = ILL_TYPED_TABLES[case](table), "a share table must be a CostShareTable"
+    with pytest.raises(MalformedInputError, match=match):
+        call(inst, route, table)
+
+
 _FLAWS = {
     "nan": lambda row, k: row[:k] + [math.nan] + row[k + 1:],
     "inf": lambda row, k: row[:k] + [math.inf] + row[k + 1:],

@@ -402,6 +402,34 @@ def test_lower_bound_unique_route_random_positive_weights(n):
         )
 
 
+LOWER_BOUND_SETTINGS = [
+    dict(), dict(ell=0.3), dict(alpha_op=1.7, ell=7), dict(slack=0.5), dict(ell=2.5, slack=2),
+    dict(alpha_op=0.5, random_weights=True),
+]
+
+
+def lower_bound(n, random_weights=False, **kwargs):
+    alphas = np.random.default_rng(n).uniform(0.2, 4.0, size=n) if random_weights else None
+    return ss.generate_lower_bound_instance(n, alphas=alphas, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", LOWER_BOUND_SETTINGS)
+def test_lower_bound_route_is_feasible_and_metric_at_rel_zero(kwargs):
+    # each separation is its stage budget on ell's float grid, so the stages fold
+    # exactly onto their budgets; equal weights failed at rel=0 from n = 6 on
+    for n in range(1, 41):
+        inst = lower_bound(n, **kwargs)
+        assert ss.sir_feasible(inst, ss.Route.single_dropoff(range(1, n + 1)), rel=0.0).feasible, n
+        assert ss.validate_metric(inst.dist, 0.0).ok, n
+
+
+@pytest.mark.parametrize("kwargs", LOWER_BOUND_SETTINGS)
+def test_lower_bound_lists_its_one_route_at_both_tolerances(kwargs):
+    for n, rel in itertools.product(range(3, 9), (1e-9, 0.0)):
+        found = ss.enumerate_sir_routes(lower_bound(n, **kwargs), rel=rel)
+        assert [r.pickup_order for r in found.routes] == [tuple(range(1, n + 1))], (n, rel)
+
+
 def test_lower_bound_rejects_zero_weights():
     with pytest.raises(ConstructionError):
         ss.generate_lower_bound_instance(3, alphas=[1.0, 0.0, 1.0])
@@ -437,6 +465,14 @@ def test_sqrt_tight_every_stage_tight(n):
     assert result.feasible
     for s in result.stages:
         assert s.slack == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("ell", [1.0, 0.3, 7.0, 123.456])
+def test_sqrt_tight_ascending_route_is_feasible_at_rel_zero(ell):
+    # the product positions overshot their budgets by an ulp or two from n = 3 on
+    for n in range(1, 60):
+        inst = ss.generate_sqrt_tight_instance(n, ell=ell)
+        assert ss.sir_feasible(inst, ss.Route.single_dropoff(range(1, n + 1)), rel=0.0).feasible, n
 
 
 def test_sqrt_tight_gamma_matches_product():
@@ -585,6 +621,18 @@ def test_generators_reject_a_size_that_is_not_an_integer(make, n):
 def test_generators_reject_ill_typed_input(make):
     with pytest.raises(MalformedInputError):
         make()
+
+
+@pytest.mark.parametrize("positions, dropoff", [
+    (5, 0), ([1, "x"], 0), ([True, 2], 0), ([1, math.inf], 0), ([1, 10**400], 0), ([], 0),
+], ids=["not-a-list", "str", "bool", "inf", "beyond-float", "no-pickup"])
+def test_line_instance_and_verdict_refuse_alike(positions, dropoff):
+    messages = []
+    for build in (ss.line_instance, ss.line_metric_verdict):
+        with pytest.raises(MalformedInputError) as caught:
+            build(positions, dropoff)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("make, name", [
